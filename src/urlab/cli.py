@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -52,11 +53,29 @@ EXIT_INPUT = 3
 EXIT_NUMERIC = 4
 
 
+def _parse_real(value, what: str) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ConfigError(f"{what} must be a finite number, got {value!r}")
+
+
+def _parse_int(value, what: str) -> int:
+    x = _parse_real(value, what)
+    if not x.is_integer():
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(x)
+
+
 def _parse_complex(value, what: str) -> complex:
     if isinstance(value, (int, float)):
-        return complex(value)
+        return complex(_parse_real(value, what))
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_parse_real(value[0], what), _parse_real(value[1], what))
     raise ConfigError(f"{what} must be a number or [re, im] pair, got {value!r}")
 
 
@@ -82,7 +101,7 @@ def build_observable(spec: dict, dim: int) -> Observable:
         j = spec.get("j")
         if j is None:
             raise ConfigError(f"{builder} needs a 'j' parameter")
-        ops = spin_operators(float(j))
+        ops = spin_operators(_parse_real(j, "j"))
         return ops[("spin_jx", "spin_jy", "spin_jz").index(builder)]
     if builder == "raw_observable":
         return Observable(spec.get("name", "raw"), _parse_matrix(spec.get("matrix"), "matrix"))
@@ -98,12 +117,12 @@ def build_state(spec: dict, dim: int):
     if builder == "squeezed":
         return squeezed_state(
             _parse_complex(spec.get("alpha", 0.0), "alpha"),
-            float(spec.get("r", 0.0)),
-            float(spec.get("phi", 0.0)),
+            _parse_real(spec.get("r", 0.0), "r"),
+            _parse_real(spec.get("phi", 0.0), "phi"),
             dim,
         )
     if builder == "fock_n":
-        return fock_state(int(spec.get("k", 0)), dim)
+        return fock_state(_parse_int(spec.get("k", 0), "k"), dim)
     if builder == "raw_vector":
         amps = spec.get("amplitudes")
         if not isinstance(amps, list):
@@ -150,7 +169,7 @@ def _resolve_seed(args, config) -> int:
 def _resolve_dim(args, config) -> int:
     if args.dim is not None:
         return args.dim
-    return int(config.get("hilbert_dim", DEFAULT_DIM))
+    return _parse_int(config.get("hilbert_dim", DEFAULT_DIM), "hilbert_dim")
 
 
 def _slack_rtol(config) -> float:
@@ -308,7 +327,7 @@ def _compare_instances(config: dict, seed: int, dim: int):
     kind = spec["kind"]
     if kind == "coherent_grid":
         return coherent_pair_grid(
-            dim=int(spec.get("hilbert_dim", dim)),
+            dim=_parse_int(spec.get("hilbert_dim", dim), "hilbert_dim"),
             extent=float(spec.get("extent", 2.0)),
             points=int(spec.get("points", 5)),
         )

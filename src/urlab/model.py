@@ -8,6 +8,8 @@ has Δq² = Δp² = 1/2.
 
 from __future__ import annotations
 
+import bisect
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,9 +25,11 @@ NORM_TOL = 1e-12
 
 # Infinite-tail weight allowed above level N-3 for coherent states.
 COHERENT_TAIL_TOL = 1e-12
-# Constructed-state weight allowed on the top two levels for squeezed states.
-# Calibrated so the Gaussian moment formulas hold to ~1e-6 absolute at the
-# admissibility edge (|r| ~ 1 at N = 64) and to <= 1e-8 for |r| <= 0.8.
+# Weight of the ideal (untruncated) squeezed state allowed on levels >= N-2,
+# from its three-term Fock recurrence. At the admissibility edge (|r| ~ 1 at
+# N = 64) the Gaussian moment formulas hold to ~1e-6 relative; the error grows
+# about as tail * N, to ~1e-5 at N = 512. Well inside (tail <= 1e-14) they hold
+# to ~1e-11.
 SQUEEZED_TAIL_TOL = 1e-8
 
 _SAMPLE_KINDS = ("pure", "density", "hermitian", "psd")
@@ -201,34 +205,61 @@ def coherent_state(alpha: complex, n: int) -> PureState:
     return PureState(amp / np.linalg.norm(amp))
 
 
-def _expm_antihermitian(gen: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """exp(G) @ vec for anti-Hermitian G, via the eigensystem of iG."""
-    w, v = np.linalg.eigh(1j * gen)
-    return v @ (np.exp(-1j * w) * (v.conj().T @ vec))
+_SQRT = tuple(math.sqrt(k) for k in range(MAX_DIM))
 
 
-def _squeezed_vacuum_tail(r: float, level: int) -> float:
-    """Weight of the ideal squeezed vacuum strictly above `level`."""
-    t2 = math.tanh(abs(r)) ** 2
-    if t2 == 0.0:
-        return 0.0
-    # even occupations only: P(2k)/P(2k-2) = tanh^2(r) (2k-1)/(2k)
-    term = 1.0 / math.cosh(r)
-    total = term
-    k = 1
-    while 2 * k <= level:
-        term *= t2 * (2 * k - 1) / (2 * k)
-        total += term
-        k += 1
-    return max(0.0, 1.0 - total)
+def _ideal_tail(alpha: complex, r: float, phi: float, n: int) -> float:
+    """Weight of the ideal D(alpha) S(r e^{i phi}) |0> on levels >= n-2.
+
+    The ideal state obeys (mu a + nu a†) psi = beta psi with mu = cosh r,
+    nu = e^{i phi} sinh r and beta = mu alpha + nu alpha*, so with t = nu/mu
+    its amplitudes follow the three-term recurrence
+    sqrt(k+1) psi_{k+1} = (alpha + t alpha*) psi_k - t sqrt(k) psi_{k-1}
+    from psi_0 = exp(-|alpha|^2/2 - alpha*^2 t/2) / sqrt(mu). The weight is
+    non-increasing in n, also in floating point.
+    """
+    alpha = complex(alpha)
+    ac = alpha.conjugate()
+    t = cmath.exp(1j * phi) * math.tanh(r)
+    e = math.exp(-abs(r))
+    sech = 2.0 * e / (1.0 + e * e)  # 1/cosh r without overflow
+    b = alpha + t * ac
+    prev = 0j
+    cur = cmath.exp(-0.5 * abs(alpha) * abs(alpha) - 0.5 * t * ac * ac) * math.sqrt(sech)
+    total = 0.0
+    for k in range(n - 2):
+        total += cur.real * cur.real + cur.imag * cur.imag
+        prev, cur = cur, (b * cur - t * _SQRT[k] * prev) / _SQRT[k + 1]
+    return 1.0 - total
 
 
-def _squeezed_required_dim(alpha: complex, r: float, tol: float) -> int | None:
-    lam = (abs(alpha) * math.exp(abs(r))) ** 2
-    for n in (64, 96, 128, 192, 256, 384, MAX_DIM):
-        if _squeezed_vacuum_tail(r, n - 3) + _poisson_tail_above(lam, n - 3) <= tol:
-            return n
-    return None
+@lru_cache(maxsize=16)
+def _generator_eigs(n: int, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystem (w, V) of the real tridiagonal generator T_step in dimension n.
+
+    T_1 = a + a† on all n levels carries the displacement. T_2 = a² + a†²
+    restricted to the even levels 0, 2, 4, ... (off-diagonal
+    sqrt((2k+1)(2k+2))) carries the squeeze out of the vacuum.
+    """
+    k = np.arange(1.0, n if step == 1 else (n + 1) // 2)
+    off = np.sqrt(k) if step == 1 else np.sqrt((2 * k - 1) * (2 * k))
+    w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return w, v
+
+
+def _real_matvec(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """m @ z for real m and complex z, without casting m to complex."""
+    return (m @ z.view(float).reshape(-1, 2)).view(complex).ravel()
+
+
+def _evolve(n: int, step: int, s: float, theta: float, vec: np.ndarray) -> np.ndarray:
+    """exp(-i s P T_step P†) @ vec with P = diag(e^{i k theta})."""
+    w, v = _generator_eigs(n, step)
+    ph = np.exp(1j * theta * np.arange(w.size))
+    y = _real_matvec(v.T, ph.conj() * vec) * np.exp(-1j * s * w)
+    return ph * _real_matvec(v, y)
 
 
 def squeezed_state(
@@ -240,36 +271,42 @@ def squeezed_state(
 ) -> PureState:
     """Displaced squeezed vacuum D(alpha) S(r e^{i phi}) |0>.
 
-    Both unitaries are matrix exponentials of the truncated generators
-    (a†² vs a² for the squeeze, a† vs a for the displacement), applied to the
-    vacuum and renormalized. For phi = 0, alpha = 0 the quadrature variances
-    are Δq² = e^{-2r}/2 and Δp² = e^{2r}/2 up to truncation error; the
-    constructed state's weight on the top two levels is audited against
-    `tail_tol` and rejected when the truncation is too tight.
+    Both unitaries are exponentials of the truncated generators (a†² vs a² for
+    the squeeze, a† vs a for the displacement), applied to the vacuum and
+    renormalized. Each generator is, up to a diagonal phase, a fixed real
+    tridiagonal matrix times |alpha| or r/2: a + a† for the displacement, and
+    a² + a†² on the even levels for the squeeze, which only ever acts on the
+    vacuum. Their eigensystems are cached per dimension, so a state costs two
+    O(N²) matrix-vector products. For phi = 0, alpha = 0 the quadrature
+    variances are Δq² = e^{-2r}/2 and Δp² = e^{2r}/2 up to truncation error.
+
+    Before building, the weight of the ideal (untruncated) state on levels
+    >= n-2 is audited against `tail_tol`; a state above it is rejected with
+    the smallest admissible dimension as a hint.
     """
     n = _check_dim(n)
-    a = _annihilation(n)
-    ad = a.conj().T
-    vec = np.zeros(n, dtype=complex)
-    vec[0] = 1.0
-    xi = r * np.exp(1j * phi)
-    if xi != 0:
-        gen_s = 0.5 * (np.conj(xi) * (a @ a) - xi * (ad @ ad))
-        vec = _expm_antihermitian(gen_s, vec)
-    if alpha != 0:
-        gen_d = alpha * ad - np.conj(alpha) * a
-        vec = _expm_antihermitian(gen_d, vec)
-    vec = vec / np.linalg.norm(vec)
-    tail = float(np.sum(np.abs(vec[n - 2 :]) ** 2))
-    if tail > tail_tol:
-        req = _squeezed_required_dim(alpha, r, tail_tol)
-        hint = f"; need dimension >= ~{req}" if req else ""
+    if not (cmath.isfinite(alpha) and math.isfinite(r) and math.isfinite(phi)):
+        raise InputError(f"squeezed state parameters must be finite: alpha={alpha}, r={r}, phi={phi}")
+    tail = _ideal_tail(alpha, r, phi, n)
+    if not tail <= tail_tol:  # also rejects a NaN tail from overflowing parameters
+        dims = range(n + 1, MAX_DIM + 1)
+        i = bisect.bisect_left(dims, True, key=lambda d: _ideal_tail(alpha, r, phi, d) <= tail_tol)
+        req = dims[i] if i < len(dims) else None
+        hint = f"; need dimension >= {req}" if req else ""
         raise TruncationError(
-            f"squeezed state (|alpha|={abs(alpha):.3g}, r={r:.3g}) leaves weight "
-            f"{tail:.3e} on the top two of {n} levels (limit {tail_tol:g}){hint}",
+            f"squeezed state (|alpha|={abs(alpha):.3g}, r={r:.3g}) has ideal weight "
+            f"{tail:.3e} on levels >= {n - 2} (limit {tail_tol:g}){hint}",
             required_dim=req,
         )
-    return PureState(vec)
+    vec = np.zeros(n, dtype=complex)
+    vec[0] = 1.0
+    if r != 0:
+        even = np.zeros((n + 1) // 2, dtype=complex)
+        even[0] = 1.0
+        vec[0::2] = _evolve(n, 2, 0.5 * r, phi - 0.5 * math.pi, even)
+    if alpha != 0:
+        vec = _evolve(n, 1, abs(alpha), cmath.phase(alpha) + 0.5 * math.pi, vec)
+    return PureState(vec / np.linalg.norm(vec))
 
 
 def spin_operators(j: float) -> tuple[Observable, Observable, Observable]:

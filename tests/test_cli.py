@@ -219,3 +219,41 @@ def test_truncation_error_maps_to_exit3(tmp_path):
     }
     code, _ = run(tmp_path, "check", config)
     assert code == 3
+
+
+SQUEEZED_CHECK = {
+    "urs": ["heisenberg"],
+    "hilbert_dim": 64,
+    "observables": [{"builder": "fock_q"}, {"builder": "fock_p"}],
+    "states": [{"builder": "squeezed", "alpha": [0.1, 0.0], "r": 0.3, "phi": 0.0}],
+}
+
+
+def with_field(field, value):
+    config = json.loads(json.dumps(SQUEEZED_CHECK))
+    if field in ("r", "phi"):
+        config["states"][0][field] = value
+    elif field == "k":
+        config["states"] = [{"builder": "fock_n", "k": value}]
+    elif field == "j":
+        config["hilbert_dim"] = 2
+        config["observables"] = [{"builder": "spin_jx", "j": value}, {"builder": "spin_jy", "j": 0.5}]
+        config["states"] = [{"builder": "raw_vector", "amplitudes": [1, 0]}]
+    else:
+        config[field] = value
+    return config
+
+
+@pytest.mark.parametrize("field", ["r", "phi", "k", "j", "hilbert_dim"])
+def test_non_numeric_builder_scalar_exit2(tmp_path, field):
+    valid = {"r": 0.2, "phi": 1.0, "k": 1, "j": 0.5, "hilbert_dim": 64}[field]
+    assert run(tmp_path, "check", with_field(field, valid))[0] == 0
+    for bad in ("abc", [1, 2], None, True, float("nan"), 10**400):
+        code, _ = run(tmp_path, "check", with_field(field, bad))
+        assert code == 2, (field, bad)
+
+
+@pytest.mark.parametrize("field", ["k", "hilbert_dim"])
+def test_fractional_integer_field_exit2(tmp_path, field):
+    code, _ = run(tmp_path, "check", with_field(field, 1.5 if field == "k" else 64.5))
+    assert code == 2

@@ -9,12 +9,16 @@ from numpy.testing import assert_allclose
 
 from urlab.errors import InputError, TruncationError
 from urlab.model import (
+    MAX_DIM,
+    SQUEEZED_TAIL_TOL,
     DensityMatrix,
     Observable,
     PureState,
     coherent_state,
     fock_operators,
     fock_state,
+    _annihilation,
+    _ideal_tail,
     sample,
     spin_operators,
     squeezed_state,
@@ -155,6 +159,141 @@ def test_gaussian_moments_stable_under_dim_growth():
             )
         drift = np.max(np.abs(np.array(vals[64]) - np.array(vals[128])))
         assert drift < 1e-10
+
+
+def dense_squeezed(alpha, r, phi, n):
+    """Reference D(alpha) S(r e^{i phi})|0>: each truncated generator G is
+    exponentiated through a dense eigendecomposition of iG."""
+
+    def expm_apply(gen, vec):
+        w, v = np.linalg.eigh(1j * gen)
+        return v @ (np.exp(-1j * w) * (v.conj().T @ vec))
+
+    a = _annihilation(n)
+    ad = a.conj().T
+    vec = np.zeros(n, dtype=complex)
+    vec[0] = 1.0
+    xi = r * np.exp(1j * phi)
+    if xi != 0:
+        vec = expm_apply(0.5 * (np.conj(xi) * (a @ a) - xi * (ad @ ad)), vec)
+    if alpha != 0:
+        vec = expm_apply(alpha * ad - np.conj(alpha) * a, vec)
+    return vec / np.linalg.norm(vec)
+
+
+def gaussian_grid(seed, dims, per_dim):
+    rng = np.random.default_rng(seed)
+    for n in dims:
+        for i in range(per_dim):
+            alpha = complex(*rng.uniform(-2.0, 2.0, 2))
+            r = rng.uniform(-1.2, 1.2)
+            phi = rng.uniform(0.1, 2 * np.pi)
+            if i == 0:
+                alpha = 0j  # pure squeezing
+            elif i == 1:
+                r = 0.0  # pure displacement
+            elif i == 2:
+                r = -abs(r)
+            yield alpha, r, phi, n
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 64, 257, 512])
+def test_squeezed_matches_dense_generator_exponential(n):
+    # tail_tol=1 switches the audit off so that the construction itself is
+    # compared at every dimension, dims 2 and 3 included
+    for alpha, r, phi, _ in gaussian_grid(100 + n, [n], 5):
+        got = squeezed_state(alpha, r, phi, n, tail_tol=1.0).amplitudes
+        assert np.max(np.abs(got - dense_squeezed(alpha, r, phi, n))) < 1e-12
+
+
+def gaussian_moment_errors(alpha, r, phi, n):
+    """Relative errors of <q>, <p>, Δq², Δp² and the symmetrized covariance
+    against the closed forms of the ideal displaced squeezed state."""
+    q, p = fock_operators(n)
+    s = squeezed_state(alpha, r, phi, n)
+    got = (
+        expval(q, s).real,
+        expval(p, s).real,
+        variance(q, s),
+        variance(p, s),
+        covariance(q, p, s),
+    )
+    c2, s2 = math.cosh(2 * r), math.sinh(2 * r)
+    ref = (
+        math.sqrt(2) * alpha.real,
+        math.sqrt(2) * alpha.imag,
+        (c2 - math.cos(phi) * s2) / 2,
+        (c2 + math.cos(phi) * s2) / 2,
+        -math.sin(phi) * s2 / 2,
+    )
+    return [abs(g - f) / max(1.0, abs(f)) for g, f in zip(got, ref)]
+
+
+@pytest.mark.parametrize(
+    "alpha,r,phi,n",
+    [
+        (3 - 2j, 1.2, 0.9, 256),
+        (-1 + 4j, -0.8, 2.5, 256),
+        (8 + 6j, 1.5, 2.0, MAX_DIM),
+        (-12 + 3j, -1.0, 4.0, MAX_DIM),
+    ],
+)
+def test_squeezed_gaussian_moments_at_large_dim(alpha, r, phi, n):
+    assert max(gaussian_moment_errors(alpha, r, phi, n)) < 1e-9
+
+
+@pytest.mark.parametrize("n", [64, 256, MAX_DIM])
+def test_squeezed_moments_at_admissibility_edge(n):
+    # states whose ideal tail lies just under the limit: the truncation error
+    # of the moments grows with the levels it sits on, about tail * N
+    rng = np.random.default_rng(n)
+    r_max = {64: 1.1, 256: 1.8, MAX_DIM: 2.2}[n]
+    edge = 0
+    for _ in range(3000):
+        alpha = complex(*rng.uniform(-1.0, 1.0, 2)) * 0.95 * math.sqrt(n) * rng.uniform()
+        r, phi = rng.uniform(-r_max, r_max), rng.uniform(0, 2 * np.pi)
+        tail = _ideal_tail(alpha, r, phi, n)
+        if not 0.01 * SQUEEZED_TAIL_TOL <= tail <= SQUEEZED_TAIL_TOL:
+            continue
+        edge += 1
+        assert max(gaussian_moment_errors(alpha, r, phi, n)) < 10 * SQUEEZED_TAIL_TOL * n
+        if edge == 20:
+            break
+    assert edge == 20
+
+
+def test_ideal_tail_matches_a_large_dim_state():
+    # the recurrence's weight above n-3 against the same weight of a state
+    # built where the truncation is negligible
+    for alpha, r, phi, n in gaussian_grid(7, [12, 24, 40], 6):
+        big = squeezed_state(alpha, r, phi, MAX_DIM).amplitudes
+        tail = _ideal_tail(alpha, r, phi, n)
+        assert tail == pytest.approx(np.sum(np.abs(big[n - 2 :]) ** 2), abs=1e-13)
+
+
+def test_squeezed_audit_rejects_wrapped_displacement():
+    # the truncated displacement of |alpha| = 40 wraps around inside 512
+    # levels and leaves the top two nearly empty; the ideal state lies above
+    with pytest.raises(TruncationError) as err:
+        squeezed_state(40, 0.5, 0.0, 512)
+    assert err.value.required_dim is None
+
+
+@pytest.mark.parametrize("alpha,r", [(0, 2.0), (3, 1.0), (1 - 2j, -0.9)])
+def test_squeezed_truncation_error_reports_required_dim(alpha, r):
+    with pytest.raises(TruncationError) as err:
+        squeezed_state(alpha, r, 0.3, 48)
+    req = err.value.required_dim
+    assert req is not None and req > 48
+    squeezed_state(alpha, r, 0.3, req)  # suggested dimension works
+    with pytest.raises(TruncationError):
+        squeezed_state(alpha, r, 0.3, req - 1)
+
+
+def test_squeezed_rejects_non_finite_parameters():
+    for args in ((np.nan, 0.1, 0.0), (0.0, np.inf, 0.0), (0.0, 0.1, np.nan)):
+        with pytest.raises(InputError):
+            squeezed_state(*args, 64)
 
 
 # ---------------------------------------------------------------------------
