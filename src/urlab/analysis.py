@@ -88,16 +88,28 @@ class MinimizationResult:
 
 def nelder_mead(f, x0, step=0.25, budget=2000, stall_iters=20, ftol=1e-10):
     """Simplex descent; converged when the best value improves by less than
-    `ftol` over the final `stall_iters` iterations."""
+    `ftol` over the final `stall_iters` iterations and the simplex's values
+    lie within `ftol` of each other.
+
+    A stall while the values still spread wider is stagnation, not a minimum:
+    the simplex has flattened across a narrow valley, and restarting from its
+    best vertex with the same step repeats the same stall. The simplex is
+    rebuilt around the best vertex at a tenth of its size and the descent
+    goes on, a restart in the manner of Kelley (SIAM J. Optim. 10, 1999).
+    """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
-    simplex = [x0.copy()]
-    fvals = [f(x0)]
-    for i in range(n):
-        x = x0.copy()
-        x[i] += step
-        simplex.append(x)
-        fvals.append(f(x))
+
+    def axis_simplex(x0, f0, size):
+        simplex, fvals = [x0], [f0]
+        for i in range(n):
+            x = x0.copy()
+            x[i] += size
+            simplex.append(x)
+            fvals.append(f(x))
+        return simplex, fvals
+
+    simplex, fvals = axis_simplex(x0.copy(), f(x0), step)
     evals = n + 1
     history = [min(fvals)]
     iterations = 0
@@ -134,8 +146,14 @@ def nelder_mead(f, x0, step=0.25, budget=2000, stall_iters=20, ftol=1e-10):
                 evals += n
         history.append(min(fvals))
         if len(history) > stall_iters and history[-stall_iters - 1] - history[-1] < ftol:
-            converged = True
-            break
+            if max(fvals) - min(fvals) < ftol:
+                converged = True
+                break
+            best = int(np.argmin(fvals))
+            size = max(float(np.abs(v - simplex[best]).max()) for v in simplex)
+            simplex, fvals = axis_simplex(simplex[best], fvals[best], 0.1 * size)
+            evals += n
+            history = [fvals[0]]
     best = int(np.argmin(fvals))
     return simplex[best], fvals[best], iterations, evals, converged
 

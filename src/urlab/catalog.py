@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -19,6 +20,26 @@ from .errors import InputError, NumericError
 from .linalg import slack_scale, slack_tolerance
 from .model import DensityMatrix, Observable, PureState, QuantumState
 from .moments import GramUR, MomentSet, moment_set, robertson_matrix
+
+
+class _LazyDigest:
+    """Descriptor behind ``URReport.inputs_digest``.
+
+    The field holds either the 16-hex digest or the zero-argument hasher that
+    ``_digest`` returns; the hasher runs on the first read and its value
+    replaces it. A minimiser that never reads the digest never hashes.
+    """
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            raise AttributeError("inputs_digest")  # the field has no default
+        value = report.__dict__["inputs_digest"]
+        if not isinstance(value, str):
+            value = report.__dict__["inputs_digest"] = value()
+        return value
+
+    def __set__(self, report, value):
+        report.__dict__["inputs_digest"] = value
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,7 +53,7 @@ class URReport:
     slack: float
     saturated: bool
     tol: float
-    inputs_digest: str
+    inputs_digest: str = _LazyDigest()
 
     def as_dict(self) -> dict:
         return {
@@ -50,7 +71,21 @@ class URReport:
         return self.slack >= -rtol * slack_scale(self.lhs, self.rhs)
 
 
-def _digest(ur_id: str, observables=(), states=(), extras=()) -> str:
+def _digest(ur_id: str, observables=(), states=(), extras=()):
+    """Capture a report's inputs; the returned hasher digests them on call.
+
+    Observables and states are immutable. Any other state entry (a raw
+    amplitude array or a GramUR matrix) is copied now, so a later change to
+    the caller's array does not change the digest.
+    """
+    states = tuple(
+        st if isinstance(st, (PureState, DensityMatrix)) else np.array(st, dtype=complex)
+        for st in states
+    )
+    return partial(_hash_inputs, ur_id, tuple(observables), states, tuple(extras))
+
+
+def _hash_inputs(ur_id: str, observables, states, extras) -> str:
     h = hashlib.sha256()
     h.update(ur_id.encode())
     for obs in observables:
@@ -66,7 +101,7 @@ def _digest(ur_id: str, observables=(), states=(), extras=()) -> str:
             h.update(np.ascontiguousarray(st.matrix).tobytes())
         else:
             h.update(b"V")
-            h.update(np.ascontiguousarray(np.asarray(st, dtype=complex)).tobytes())
+            h.update(np.ascontiguousarray(st).tobytes())
     for x in extras:
         h.update(repr(x).encode())
     return h.hexdigest()[:16]

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -80,9 +81,42 @@ def _parse_complex(value, what: str) -> complex:
 
 
 def _parse_matrix(rows, what: str) -> np.ndarray:
+    """Parse rows of numbers, or rows of [re, im] pairs, as one complex array."""
+    shape = (
+        f"{what} must be a non-empty row-major list of rows of equal length, "
+        "all entries numbers or all [re, im] pairs"
+    )
     if not isinstance(rows, list) or not rows:
-        raise ConfigError(f"{what} must be a non-empty row-major list")
-    return np.array([[_parse_complex(x, what) for x in row] for row in rows])
+        raise ConfigError(shape)
+    try:
+        a = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, or an entry that is no number
+        raise ConfigError(shape) from None
+    if a.ndim == 3 and a.shape[2] == 2:
+        entries = chain.from_iterable(chain.from_iterable(rows))
+    elif a.ndim == 2:
+        entries = chain.from_iterable(rows)
+    else:
+        raise ConfigError(shape)
+    # float() above also takes booleans and numeric strings; _parse_real does not
+    if not all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, entries))):
+        raise ConfigError(f"{what} entries must be numbers or [re, im] pairs of numbers")
+    if not np.isfinite(a).all():
+        raise ConfigError(f"{what} entries must be finite")
+    return a.view(complex).reshape(a.shape[:2]) if a.ndim == 3 else a.astype(complex)
+
+
+def _parse_dims(value) -> list[int]:
+    if not isinstance(value, list):
+        raise ConfigError(f"dims must be a list of integers or a {{min, max}} object, got {value!r}")
+    return [_parse_int(d, "dims") for d in value]
+
+
+def _parse_slot(key: str) -> int:
+    """A fixed_states key: JSON object keys are strings, so "0" names slot 0."""
+    if not (key.isascii() and key.isdigit()):
+        raise ConfigError(f"fixed_states keys must be slot numbers, got {key!r}")
+    return int(key)
 
 
 def build_observable(spec: dict, dim: int) -> Observable:
@@ -163,7 +197,7 @@ def _resolve_seed(args, config) -> int:
             return int(env)
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV} must be an integer, got {env!r}") from exc
-    return int(config.get("seed", 0))
+    return _parse_int(config.get("seed", 0), "seed")
 
 
 def _resolve_dim(args, config) -> int:
@@ -176,7 +210,7 @@ def _slack_rtol(config) -> float:
     tol = config.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigError("'tolerances' must be an object")
-    return float(tol.get("slack_rtol", SLACK_RTOL))
+    return _parse_real(tol.get("slack_rtol", SLACK_RTOL), "slack_rtol")
 
 
 def _violated(report: URReport, rtol: float) -> bool:
@@ -227,14 +261,15 @@ def run_check(config: dict, seed: int, dim: int) -> tuple[dict, int]:
 
 def run_scan(config: dict, seed: int, dim: int) -> tuple[dict, int]:
     rtol = _slack_rtol(config)
-    size = int(config.get("ensemble_size", 100))
+    size = _parse_int(config.get("ensemble_size", 100), "ensemble_size")
     if size < 1:
         raise ConfigError("ensemble_size must be >= 1")
     dims_cfg = config.get("dims", {"min": 2, "max": 8})
     if isinstance(dims_cfg, dict):
-        dims = list(range(int(dims_cfg.get("min", 2)), int(dims_cfg.get("max", 8)) + 1))
+        lo = _parse_int(dims_cfg.get("min", 2), "dims.min")
+        dims = list(range(lo, _parse_int(dims_cfg.get("max", 8), "dims.max") + 1))
     else:
-        dims = [int(d) for d in dims_cfg]
+        dims = _parse_dims(dims_cfg)
     if not dims or min(dims) < 2:
         raise ConfigError(f"bad dims {dims_cfg!r}")
     pinned = config.get("pinned", {})
@@ -287,10 +322,10 @@ def run_minimize(config: dict, seed: int, dim: int) -> tuple[dict, int]:
     observables = [build_observable(s, dim) for s in config.get("observables", [])]
     if not observables:
         raise ConfigError("minimize needs 'observables'")
-    fixed = {
-        int(slot): build_state(spec, dim)
-        for slot, spec in (config.get("fixed_states") or {}).items()
-    }
+    fixed_cfg = config.get("fixed_states") or {}
+    if not isinstance(fixed_cfg, dict):
+        raise ConfigError("'fixed_states' must be an object mapping slot numbers to states")
+    fixed = {_parse_slot(slot): build_state(spec, dim) for slot, spec in fixed_cfg.items()}
     free = config.get("free_slots")
     result = minimize_slack(
         ur_id,
@@ -298,8 +333,8 @@ def run_minimize(config: dict, seed: int, dim: int) -> tuple[dict, int]:
         dim=dim,
         free_slots=free,
         fixed_states=fixed,
-        budget=int(config.get("budget", 400)),
-        restarts=int(config.get("restarts", 8)),
+        budget=_parse_int(config.get("budget", 400), "budget"),
+        restarts=_parse_int(config.get("restarts", 8), "restarts"),
         seed=seed,
         extras=config.get("extras"),
     )
@@ -328,13 +363,14 @@ def _compare_instances(config: dict, seed: int, dim: int):
     if kind == "coherent_grid":
         return coherent_pair_grid(
             dim=_parse_int(spec.get("hilbert_dim", dim), "hilbert_dim"),
-            extent=float(spec.get("extent", 2.0)),
-            points=int(spec.get("points", 5)),
+            extent=_parse_real(spec.get("extent", 2.0), "extent"),
+            points=_parse_int(spec.get("points", 5), "points"),
         )
     if kind == "random":
         ur = spec.get("ur") or config.get("ur_a")
-        dims = [int(d) for d in spec.get("dims", [2, 3, 4, 6, 8])]
-        return random_instances(ur, int(spec.get("size", 200)), dims, int(spec.get("seed", seed)))
+        dims = _parse_dims(spec.get("dims", [2, 3, 4, 6, 8]))
+        size = _parse_int(spec.get("size", 200), "size")
+        return random_instances(ur, size, dims, _parse_int(spec.get("seed", seed), "seed"))
     raise ConfigError(f"unknown instances kind {kind!r}")
 
 

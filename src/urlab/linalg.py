@@ -39,18 +39,18 @@ def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a.view(float)).all():
         raise InputError(f"{name} contains non-finite entries")
     return a
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entrywise deviation of m from its conjugate transpose."""
-    return float(np.max(np.abs(m - m.conj().T), initial=0.0))
+    return float(np.abs(m - m.conj().T).max(initial=0.0))
 
 
 def is_hermitian(m: np.ndarray, rtol: float = HERM_RTOL) -> bool:
-    scale = float(np.max(np.abs(m), initial=0.0))
+    scale = float(np.abs(m).max(initial=0.0))
     return hermiticity_defect(m) <= rtol * max(scale, 1e-300)
 
 
@@ -181,8 +181,8 @@ def char_coeffs(m, method: str = "auto") -> np.ndarray:
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"eigenvalue solve failed: {exc}") from exc
         coeffs = char_coeffs_from_eigs(eigs).astype(complex)
-    scale = max(1.0, float(np.max(np.abs(coeffs), initial=0.0)))
-    resid = float(np.max(np.abs(coeffs.imag), initial=0.0))
+    scale = max(1.0, float(np.abs(coeffs).max(initial=0.0)))
+    resid = float(np.abs(coeffs.imag).max(initial=0.0))
     if resid > 1e-8 * scale:
         raise NumericError(
             f"characteristic coefficients are not real (residue {resid:.3e}); "

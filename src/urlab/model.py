@@ -72,7 +72,7 @@ class PureState:
 
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=complex).ravel()
-        if not np.all(np.isfinite(a.view(float))):
+        if not np.isfinite(a.view(float)).all():
             raise InputError("state amplitudes contain non-finite entries")
         nrm = float(np.linalg.norm(a))
         if abs(nrm - 1.0) > NORM_TOL:
@@ -208,7 +208,7 @@ def coherent_state(alpha: complex, n: int) -> PureState:
 _SQRT = tuple(math.sqrt(k) for k in range(MAX_DIM))
 
 
-def _ideal_tail(alpha: complex, r: float, phi: float, n: int) -> float:
+def _ideal_tail(alpha: complex, r: float, phi: float, n: int, stop: float = -math.inf) -> float:
     """Weight of the ideal D(alpha) S(r e^{i phi}) |0> on levels >= n-2.
 
     The ideal state obeys (mu a + nu a†) psi = beta psi with mu = cosh r,
@@ -217,6 +217,10 @@ def _ideal_tail(alpha: complex, r: float, phi: float, n: int) -> float:
     sqrt(k+1) psi_{k+1} = (alpha + t alpha*) psi_k - t sqrt(k) psi_{k-1}
     from psi_0 = exp(-|alpha|^2/2 - alpha*^2 t/2) / sqrt(mu). The weight is
     non-increasing in n, also in floating point.
+
+    The sum stops as soon as the remaining weight is <= `stop` and returns
+    that partial value: the running total never decreases, so the full
+    weight is <= `stop` exactly when the partial one is.
     """
     alpha = complex(alpha)
     ac = alpha.conjugate()
@@ -229,6 +233,8 @@ def _ideal_tail(alpha: complex, r: float, phi: float, n: int) -> float:
     total = 0.0
     for k in range(n - 2):
         total += cur.real * cur.real + cur.imag * cur.imag
+        if 1.0 - total <= stop:
+            break
         prev, cur = cur, (b * cur - t * _SQRT[k] * prev) / _SQRT[k + 1]
     return 1.0 - total
 
@@ -287,10 +293,12 @@ def squeezed_state(
     n = _check_dim(n)
     if not (cmath.isfinite(alpha) and math.isfinite(r) and math.isfinite(phi)):
         raise InputError(f"squeezed state parameters must be finite: alpha={alpha}, r={r}, phi={phi}")
-    tail = _ideal_tail(alpha, r, phi, n)
+    tail = _ideal_tail(alpha, r, phi, n, stop=tail_tol)
     if not tail <= tail_tol:  # also rejects a NaN tail from overflowing parameters
         dims = range(n + 1, MAX_DIM + 1)
-        i = bisect.bisect_left(dims, True, key=lambda d: _ideal_tail(alpha, r, phi, d) <= tail_tol)
+        i = bisect.bisect_left(
+            dims, True, key=lambda d: _ideal_tail(alpha, r, phi, d, stop=tail_tol) <= tail_tol
+        )
         req = dims[i] if i < len(dims) else None
         hint = f"; need dimension >= {req}" if req else ""
         raise TruncationError(

@@ -52,8 +52,8 @@ class GramUR:
 
 
 def _audit_real(values: np.ndarray, what: str) -> np.ndarray:
-    scale = max(1.0, float(np.max(np.abs(values), initial=0.0)))
-    resid = float(np.max(np.abs(values.imag), initial=0.0))
+    scale = max(1.0, float(np.abs(values).max(initial=0.0)))
+    resid = float(np.abs(values.imag).max(initial=0.0))
     if resid > RESIDUE_TOL * scale:
         raise NumericError(f"imaginary residue {resid:.3e} in {what}")
     return values.real
@@ -79,9 +79,17 @@ def second_moment_matrix(observables, state: QuantumState) -> np.ndarray:
     """Matrix of raw second moments M_jk = <X_j X_k> in the given state."""
     mats = _observable_matrices(observables, state)
     if isinstance(state, PureState):
-        stack = np.array([m @ state.amplitudes for m in mats])
-        return stack.conj() @ stack.T
-    rho = state.matrix
+        return _pure_second_moments(mats, state.amplitudes)[1]
+    return _mixed_second_moments(mats, state.matrix)
+
+
+def _pure_second_moments(mats: list[np.ndarray], psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stack of X_i|psi> and its Gram matrix M_jk = <X_j X_k>."""
+    stack = np.array([m @ psi for m in mats])
+    return stack, stack.conj() @ stack.T
+
+
+def _mixed_second_moments(mats: list[np.ndarray], rho: np.ndarray) -> np.ndarray:
     n = len(mats)
     left = [rho @ m for m in mats]
     out = np.empty((n, n), dtype=complex)
@@ -101,20 +109,22 @@ def moment_set(observables, state: QuantumState) -> MomentSet:
     mats = _observable_matrices(observables, state)
     if isinstance(state, PureState):
         psi = state.amplitudes
-        means_c = np.array([np.vdot(psi, m @ psi) for m in mats])
+        stack, m2 = _pure_second_moments(mats, psi)
+        means_c = np.array([np.vdot(psi, v) for v in stack])
     else:
         rho = state.matrix
         means_c = np.array([np.trace(rho @ m) for m in mats])
+        m2 = _mixed_second_moments(mats, rho)
     means = _audit_real(means_c, "observable means")
-    m2 = second_moment_matrix(observables, state)
     sym = (m2 + m2.T) / 2
     sigma = _audit_real(sym, "uncertainty matrix") - np.outer(means, means)
     sigma = (sigma + sigma.T) / 2
     cmat = _audit_real(-0.5j * (m2 - m2.T), "mean-commutator matrix")
     cmat = (cmat - cmat.T) / 2
-    var_scale = max(1.0, float(np.max(np.abs(sigma))))
-    if float(np.min(np.diag(sigma))) < VARIANCE_FLOOR * var_scale:
-        raise NumericError(f"negative variance {np.min(np.diag(sigma)):.3e}")
+    var_scale = max(1.0, float(np.abs(sigma).max()))
+    min_var = sigma.diagonal().min()
+    if float(min_var) < VARIANCE_FLOOR * var_scale:
+        raise NumericError(f"negative variance {min_var:.3e}")
     return MomentSet(means=means, sigma=sigma, cmat=cmat)
 
 

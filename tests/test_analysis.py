@@ -104,6 +104,20 @@ def test_nelder_mead_quadratic():
     assert np.allclose(x, [1, -2], atol=1e-3)
 
 
+def test_nelder_mead_restarts_a_stagnant_simplex():
+    # a point where the simplex used to stall 1.2e-6 above the minimum of 0
+    # after 20 iterations, flagged converged; restarting there repeated it
+    x_stuck = [
+        0.15860574619453982, 0.28342311754241506, -0.07271333380588862, 3.131084110628635,
+        -0.370297224186822, -0.8797291699451464, 0.07239043853090565, 0.017472779329107034,
+    ]
+    res = minimize_slack(
+        "entangled_heisenberg", fock_operators(64), 64, init=x_stuck, budget=800, restarts=1
+    )
+    assert res.converged
+    assert abs(res.slack) < 1e-10
+
+
 def test_minimize_schrodinger_gaussian_family():
     q, p = fock_operators(64)
     res = minimize_slack("schrodinger", (q, p), dim=64, budget=200, restarts=2, seed=1)
@@ -154,6 +168,41 @@ def test_minimize_respects_fixed_slots():
     )
     assert len(res.slots) == 1
     assert res.slack < 1e-6
+
+
+# (slack, iterations, evaluations, converged) of one descent per benchmark
+# case at dim 64 from a seeded start, recorded before the hot path was trimmed;
+# a change of any of them means the simplex took a different trajectory
+GOLDEN_DESCENTS = {
+    "coherent_fixed": (1.5987211554602254e-13, 72, 133, True),
+    "extended_schrodinger": (1.5881740367262864e-13, 65, 120, True),
+    "entangled_heisenberg": (4.505840145441198e-12, 137, 254, True),
+}
+
+
+def _seeded_alpha(rng):
+    amag = math.sqrt(rng.uniform())
+    aph = rng.uniform(0, 2 * math.pi)
+    return complex(amag * math.cos(aph), amag * math.sin(aph))
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_DESCENTS))
+def test_golden_minimizer_trajectory(case):
+    # starts drawn like the gaussian-minimize benchmark's: a displacement in the
+    # unit disc and a small squeezing 0.05 <= |r| <= 0.3 per free slot
+    rng = np.random.default_rng([401, 102])
+    kwargs = {}
+    if case == "extended_schrodinger":
+        kwargs = {"fixed_states": {0: coherent_state(_seeded_alpha(rng), 64)}, "free_slots": [1]}
+    init = []
+    for _ in range(2 if case == "entangled_heisenberg" else 1):
+        alpha = _seeded_alpha(rng)
+        r = rng.uniform(0.05, 0.3) * rng.choice((-1, 1))
+        init += [alpha.real, alpha.imag, r, rng.uniform(0, 2 * math.pi)]
+    res = minimize_slack(
+        case, fock_operators(64), 64, init=init, budget=800, restarts=1, **kwargs
+    )
+    assert (res.slack, res.iterations, res.evaluations, res.converged) == GOLDEN_DESCENTS[case]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from urlab.catalog import (
+    URReport,
+    _digest,
     characteristic,
     coherent_fixed,
     entangled_heisenberg,
@@ -21,6 +23,7 @@ from urlab.catalog import (
     type_2_m,
     type_3_1,
 )
+from urlab.ensembles import DEFAULT_SCAN_URS, scan_report, stream_rng
 from urlab.errors import InputError
 from urlab.linalg import slack_scale
 from urlab.model import (
@@ -34,7 +37,7 @@ from urlab.model import (
     spin_operators,
     squeezed_state,
 )
-from urlab.moments import gram_centered, robertson_matrix, transform_observables
+from urlab.moments import GramUR, gram_centered, robertson_matrix, transform_observables
 
 
 def rand_observables(rng, n, d):
@@ -582,6 +585,61 @@ def test_report_digest_tracks_inputs():
     r3 = schrodinger(q, p, fock_state(1, 32))
     assert r1.inputs_digest == r2.inputs_digest
     assert r1.inputs_digest != r3.inputs_digest
+
+
+# inputs_digest of one seeded scan instance per default check, recorded when
+# the digest was still computed eagerly as each report was built
+GOLDEN_DIGESTS = {
+    "heisenberg": "16b962734f85cedf",
+    "schrodinger": "f531c192192ac032",
+    "robertson": "d3baeb0feb88d8b1",
+    "characteristic": "f5019c7f0089d85d",
+    "type_1_2a": "38a97f139f35f63b",
+    "type_1_2b": "50ff25ad20b63c16",
+    "type_2_1": "797cefd1d196ffda",
+    "type_2_2a": "af6e91ed8760af8f",
+    "type_2_2b": "ac4f2f28884fdbf2",
+    "extended_schrodinger": "e6eeee7ac28b972d",
+    "entangled_heisenberg": "db31d18d668941d0",
+    "type_3_1": "b2074e4495f5b4ed",
+    "type_2_m": "506b28a148580a78",
+    "char_gap_entangled": "304c97561027a9fb",
+    "char_gap_superadditive": "7885b46af9933e0c",
+}
+
+
+def test_golden_digests_of_default_scan_checks():
+    assert set(GOLDEN_DIGESTS) == set(DEFAULT_SCAN_URS)
+    for ur_id, digest in GOLDEN_DIGESTS.items():
+        rep = scan_report(ur_id, stream_rng(2024, f"golden:{ur_id}"), [2, 3, 4])
+        assert rep.inputs_digest == digest, ur_id
+        assert rep.as_dict()["inputs_digest"] == digest, ur_id
+
+
+def test_digest_ignores_later_mutation_of_inputs():
+    rng = np.random.default_rng(31)
+    obs = rand_observables(rng, 2, 3)
+    states = [rand_pure(rng, 3), rand_pure(rng, 3)]
+    grams = [robertson_matrix(obs, s) for s in states]
+    expected = char_gap_check(
+        [GramUR(g.kind, g.matrix.copy(), g.provenance) for g in grams], 2, "superadditive"
+    ).inputs_digest
+    rep = char_gap_check(grams, 2, "superadditive")
+    for g in grams:
+        g.matrix[0, 0] += 1.0
+    assert rep.inputs_digest == expected
+
+    amps = np.array([0.6, 0.8j])
+    expected = _digest("raw", (), (amps.copy(),))()
+    hasher = _digest("raw", (), (amps,))
+    amps[0] = 1.0
+    assert hasher() == expected
+
+
+def test_report_accepts_a_digest_string():
+    rep = URReport("heisenberg", (2, 1), 1.0, 0.25, 0.75, False, 1e-8, "0123456789abcdef")
+    assert rep.inputs_digest == "0123456789abcdef"
+    assert rep.as_dict()["inputs_digest"] == "0123456789abcdef"
 
 
 def test_evaluate_ur_dispatch_and_signature_checks():

@@ -3,9 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from urlab.cli import main
+from urlab.cli import _parse_matrix, main
 
 
 def write_config(tmp_path, name, payload):
@@ -257,3 +258,131 @@ def test_non_numeric_builder_scalar_exit2(tmp_path, field):
 def test_fractional_integer_field_exit2(tmp_path, field):
     code, _ = run(tmp_path, "check", with_field(field, 1.5 if field == "k" else 64.5))
     assert code == 2
+
+
+RAW_CHECK = {
+    "urs": ["robertson"],
+    "hilbert_dim": 2,
+    "observables": [
+        {"builder": "raw_observable", "matrix": [[1, 0], [0, -1]]},
+        {"builder": "spin_jx", "j": 0.5},
+    ],
+    "states": [{"builder": "raw_density", "matrix": [[0.5, 0], [0, 0.5]]}],
+}
+
+BAD_MATRICES = {
+    "ragged": [[1, 0], [0]],
+    "ragged_pairs": [[[1, 0], [0, 0]], [[0, 0]]],
+    "mixed_forms": [[1, [0, 0]], [[0, 0], 1]],
+    "boolean": [[True, 0], [0, 1]],
+    "boolean_in_pair": [[[1, False], [0, 0]], [[0, 0], [1, 0]]],
+    "string": [["1", 0], [0, 1]],
+    "non_finite": [[float("nan"), 0], [0, 1]],
+    "infinite_pair": [[[1, 0], [0, float("inf")]], [[0, 0], [1, 0]]],
+    "overflowing_integer": [[10**400, 0], [0, 1]],
+    "flat_list": [1, 0, 0, 1],
+}
+
+
+def with_raw_matrix(slot, matrix):
+    config = json.loads(json.dumps(RAW_CHECK))
+    spec = config["observables"][0] if slot == "raw_observable" else config["states"][0]
+    spec["matrix"] = matrix
+    return config
+
+
+@pytest.mark.parametrize("slot", ["raw_observable", "raw_density"])
+@pytest.mark.parametrize("case", sorted(BAD_MATRICES))
+def test_malformed_raw_matrix_exit2(tmp_path, case, slot):
+    code, _ = run(tmp_path, "check", with_raw_matrix(slot, BAD_MATRICES[case]))
+    assert code == 2
+
+
+def test_raw_matrix_forms_parse_exactly(tmp_path):
+    # both forms give the bits that complex(re, im) per entry gives
+    pairs = [[[0.5, -0.0], [0.1, -0.2]], [[0.1, 0.2], [0.5, 0.0]]]
+    exact = np.array([[complex(*x) for x in row] for row in pairs])
+    assert _parse_matrix(pairs, "m").tobytes() == exact.tobytes()
+    reals = [[1, 0.25], [0.25, -3]]
+    exact = np.array([[complex(x) for x in row] for row in reals])
+    assert _parse_matrix(reals, "m").tobytes() == exact.tobytes()
+    code, doc = run(
+        tmp_path, "check", with_raw_matrix("raw_observable", [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]])
+    )
+    assert code == 0
+    assert doc["results"] == run(tmp_path, "check", RAW_CHECK)[1]["results"]
+
+
+SCAN_TINY = {"urs": ["heisenberg"], "ensemble_size": 3, "dims": [2, 3], "seed": 1}
+MINIMIZE_TINY = {
+    "ur": "extended_schrodinger",
+    "hilbert_dim": 16,
+    "observables": [{"builder": "fock_q"}, {"builder": "fock_p"}],
+    "fixed_states": {"0": {"builder": "fock_n", "k": 0}},
+    "budget": 20,
+    "restarts": 1,
+}
+COMPARE_GRID = {
+    "ur_a": "type_1_2a",
+    "ur_b": "type_1_2b",
+    "instances": {"kind": "coherent_grid", "extent": 1.0, "points": 2, "hilbert_dim": 32},
+}
+COMPARE_RANDOM = {
+    "ur_a": "type_1_2a",
+    "ur_b": "type_1_2b",
+    "instances": {"kind": "random", "size": 3, "dims": [2, 3], "seed": 1},
+}
+
+# field -> (command, valid config, path to the field, integer field?)
+NUMERIC_FIELDS = {
+    "ensemble_size": ("scan", SCAN_TINY, ("ensemble_size",), True),
+    "dims_list": ("scan", SCAN_TINY, ("dims", 1), True),
+    "dims_min": ("scan", dict(SCAN_TINY, dims={"min": 2, "max": 3}), ("dims", "min"), True),
+    "dims_max": ("scan", dict(SCAN_TINY, dims={"min": 2, "max": 3}), ("dims", "max"), True),
+    "seed": ("scan", SCAN_TINY, ("seed",), True),
+    "slack_rtol": (
+        "scan", dict(SCAN_TINY, tolerances={"slack_rtol": 1e-8}), ("tolerances", "slack_rtol"), False
+    ),
+    "budget": ("minimize", MINIMIZE_TINY, ("budget",), True),
+    "restarts": ("minimize", MINIMIZE_TINY, ("restarts",), True),
+    "points": ("compare", COMPARE_GRID, ("instances", "points"), True),
+    "extent": ("compare", COMPARE_GRID, ("instances", "extent"), False),
+    "size": ("compare", COMPARE_RANDOM, ("instances", "size"), True),
+    "instances_dims": ("compare", COMPARE_RANDOM, ("instances", "dims", 0), True),
+    "instances_seed": ("compare", COMPARE_RANDOM, ("instances", "seed"), True),
+}
+
+
+def with_path(config, path, value):
+    config = json.loads(json.dumps(config))
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return config
+
+
+@pytest.mark.parametrize("field", sorted(NUMERIC_FIELDS))
+def test_non_numeric_config_field_exit2(tmp_path, field):
+    command, config, path, integer = NUMERIC_FIELDS[field]
+    assert run(tmp_path, command, config)[0] == 0
+    bad_values = ["x", True, None, [1], float("nan"), 10**400] + ([2.5] if integer else [])
+    for bad in bad_values:
+        code, _ = run(tmp_path, command, with_path(config, path, bad))
+        assert code == 2, (field, bad)
+
+
+@pytest.mark.parametrize("dims", ["23", 3, {"min": "2", "max": 3}])
+def test_malformed_scan_dims_exit2(tmp_path, dims):
+    assert run(tmp_path, "scan", dict(SCAN_TINY, dims=dims))[0] == 2
+
+
+@pytest.mark.parametrize("key", ["x", "-1", "1.0", " 0", "0x1", "١"])
+def test_non_integer_fixed_state_slot_exit2(tmp_path, key):
+    config = dict(MINIMIZE_TINY, fixed_states={key: {"builder": "fock_n", "k": 0}})
+    assert run(tmp_path, "minimize", config)[0] == 2
+
+
+def test_fixed_states_must_be_an_object(tmp_path):
+    config = dict(MINIMIZE_TINY, fixed_states=[{"builder": "fock_n", "k": 0}])
+    assert run(tmp_path, "minimize", config)[0] == 2

@@ -1,6 +1,8 @@
 """State and observable builders: Fock quadratures, coherent/squeezed states,
 spin matrices, seeded sampling."""
 
+import bisect
+import cmath
 import math
 
 import numpy as np
@@ -269,6 +271,49 @@ def test_ideal_tail_matches_a_large_dim_state():
         big = squeezed_state(alpha, r, phi, MAX_DIM).amplitudes
         tail = _ideal_tail(alpha, r, phi, n)
         assert tail == pytest.approx(np.sum(np.abs(big[n - 2 :]) ** 2), abs=1e-13)
+
+
+def _full_recurrence_hint(alpha, r, phi, n):
+    dims = range(n + 1, MAX_DIM + 1)
+    i = bisect.bisect_left(
+        dims, True, key=lambda d: _ideal_tail(alpha, r, phi, d) <= SQUEEZED_TAIL_TOL
+    )
+    return dims[i] if i < len(dims) else None
+
+
+@pytest.mark.parametrize("n", [64, 256, MAX_DIM])
+def test_early_stopped_audit_admits_exactly_the_full_recurrence(n):
+    # squeezed_state stops the tail recurrence once the remaining weight is
+    # within the limit; at and around the limit its verdict and its hint must
+    # be those of the full recurrence
+    rng = np.random.default_rng(100 + n)
+    r_max = {64: 1.1, 256: 1.8, MAX_DIM: 2.2}[n]
+    verdicts = []
+    for _ in range(30):
+        r, phi = rng.uniform(-r_max, r_max), rng.uniform(0, 2 * np.pi)
+        unit = cmath.exp(1j * rng.uniform(0, 2 * np.pi))
+        if _ideal_tail(0, r, phi, n) > SQUEEZED_TAIL_TOL:
+            continue
+        # bracket the |alpha| where the full tail crosses the limit
+        lo, hi = 0.0, math.sqrt(n)
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            if _ideal_tail(mid * unit, r, phi, n) <= SQUEEZED_TAIL_TOL:
+                lo = mid
+            else:
+                hi = mid
+        for amag in (lo, hi, lo * (1 + rng.uniform(-1e-3, 1e-3))):
+            alpha = amag * unit
+            admitted = _ideal_tail(alpha, r, phi, n) <= SQUEEZED_TAIL_TOL
+            try:
+                squeezed_state(alpha, r, phi, n)
+                built = True
+            except TruncationError as err:
+                built = False
+                assert err.required_dim == _full_recurrence_hint(alpha, r, phi, n)
+            assert built == admitted, (alpha, r, phi, n)
+            verdicts.append(admitted)
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
 
 
 def test_squeezed_audit_rejects_wrapped_displacement():
