@@ -91,17 +91,17 @@ def _hash_inputs(ur_id: str, observables, states, extras) -> str:
     for obs in observables:
         h.update(b"O")
         h.update(obs.name.encode())
-        h.update(np.ascontiguousarray(obs.matrix).tobytes())
+        h.update(np.ascontiguousarray(obs.matrix))
     for st in states:
         if isinstance(st, PureState):
             h.update(b"P")
-            h.update(np.ascontiguousarray(st.amplitudes).tobytes())
+            h.update(np.ascontiguousarray(st.amplitudes))
         elif isinstance(st, DensityMatrix):
             h.update(b"D")
-            h.update(np.ascontiguousarray(st.matrix).tobytes())
+            h.update(np.ascontiguousarray(st.matrix))
         else:
             h.update(b"V")
-            h.update(np.ascontiguousarray(st).tobytes())
+            h.update(np.ascontiguousarray(st))
     for x in extras:
         h.update(repr(x).encode())
     return h.hexdigest()[:16]

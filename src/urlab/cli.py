@@ -53,6 +53,10 @@ EXIT_CONFIG = 2
 EXIT_INPUT = 3
 EXIT_NUMERIC = 4
 
+_JSON_WHITESPACE = " \t\n\r"
+# check extras and scan pins that hold integers
+_INT_EXTRAS = ("dim", "n", "m", "r")
+
 
 def _parse_real(value, what: str) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -119,6 +123,23 @@ def _parse_slot(key: str) -> int:
     return int(key)
 
 
+def _parse_extras(extras, what: str) -> dict:
+    """Check extras or scan pins: integer fields parsed, `uncorrected` a boolean.
+
+    Every command that forwards extras to a check parses them here.
+    """
+    if not isinstance(extras, dict):
+        raise ConfigError(f"{what} must be an object, got {extras!r}")
+    out = dict(extras)
+    for key in _INT_EXTRAS:
+        if key in out:
+            out[key] = _parse_int(out[key], f"{what} {key!r}")
+    uncorrected = out.get("uncorrected", False)
+    if not isinstance(uncorrected, bool):
+        raise ConfigError(f"{what} 'uncorrected' must be true or false, got {uncorrected!r}")
+    return out
+
+
 def build_observable(spec: dict, dim: int) -> Observable:
     if not isinstance(spec, dict) or "builder" not in spec:
         raise ConfigError(f"observable spec needs a 'builder' key: {spec!r}")
@@ -179,7 +200,7 @@ def _ur_entries(config) -> list[tuple[str, dict]]:
             out.append((entry, {}))
         elif isinstance(entry, dict) and "id" in entry:
             extras = {k: v for k, v in entry.items() if k != "id"}
-            out.append((entry["id"], extras))
+            out.append((entry["id"], _parse_extras(extras, f"{entry['id']!r} entry")))
         else:
             raise ConfigError(f"bad UR entry {entry!r}")
     for ur_id, _ in out:
@@ -272,7 +293,7 @@ def run_scan(config: dict, seed: int, dim: int) -> tuple[dict, int]:
         dims = _parse_dims(dims_cfg)
     if not dims or min(dims) < 2:
         raise ConfigError(f"bad dims {dims_cfg!r}")
-    pinned = config.get("pinned", {})
+    pinned = _parse_extras(config.get("pinned", {}), "pinned")
     rows = []
     n_viol = 0
     worst_overall = float("inf")
@@ -336,7 +357,7 @@ def run_minimize(config: dict, seed: int, dim: int) -> tuple[dict, int]:
         budget=_parse_int(config.get("budget", 400), "budget"),
         restarts=_parse_int(config.get("restarts", 8), "restarts"),
         seed=seed,
-        extras=config.get("extras"),
+        extras=_parse_extras(config.get("extras") or {}, "extras"),
     )
     row = {
         "ur_id": result.ur_id,
@@ -382,8 +403,8 @@ def run_compare(config: dict, seed: int, dim: int) -> tuple[dict, int]:
         ur_a,
         ur_b,
         _compare_instances(config, seed, dim),
-        extras_a=config.get("extras_a"),
-        extras_b=config.get("extras_b"),
+        extras_a=_parse_extras(config.get("extras_a") or {}, "extras_a"),
+        extras_b=_parse_extras(config.get("extras_b") or {}, "extras_b"),
     )
 
     def ex_dict(ex):
@@ -455,12 +476,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_text(head: dict, config_text: str, body: dict) -> str:
+    """The JSON report: `head`, then the config echoed as it was read, then
+    `body`, all in json.dumps' 2-space layout except the echo itself.
+
+    Only `head` and `body` are encoded: re-encoding a config that carries raw
+    matrices would cost more than the check. Each encodes to an object whose
+    first line is "{" and last line "}", so the echo replaces the closing brace
+    of one and the opening brace of the other.
+    """
+    head_text = json.dumps(head, indent=2)
+    body_text = json.dumps(body, indent=2)
+    echo = config_text.strip(_JSON_WHITESPACE)
+    return f'{head_text[:-2]},\n  "config": {echo},{body_text[1:]}\n'
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(args.config, "r", encoding="utf-8", newline="") as fh:
+            config_text = fh.read()
+        config = json.loads(config_text)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if not isinstance(config, dict):
@@ -479,15 +516,13 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    doc = {
+    head = {
         "tool": {"name": "urlab", "version": __version__},
         "command": args.command,
         "seed": seed,
         "hilbert_dim": dim,
-        "config": config,
     }
-    doc.update(body)
-    text = json.dumps(doc, indent=2) + "\n"
+    text = _report_text(head, config_text, body)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -137,16 +137,27 @@ def fock_operators(n: int) -> tuple[Observable, Observable]:
     return Observable("q", q), Observable("p", p)
 
 
+def _annihilation_squared(n: int) -> np.ndarray:
+    """a² in the truncated number basis: sqrt(k) sqrt(k+1) on the second superdiagonal."""
+    k = np.arange(1.0, n - 1)
+    return np.diag(np.sqrt(k) * np.sqrt(k + 1), 2)
+
+
 def quad_plus(n: int) -> Observable:
-    """The continuous-spectrum combination p² − q²."""
-    q, p = fock_operators(n)
-    return Observable("p2-q2", p.matrix @ p.matrix - q.matrix @ q.matrix)
+    """The continuous-spectrum combination p² − q² = −(a² + a†²).
+
+    The a a† and a† a terms of p² and q² cancel, so the identity holds exactly
+    for the truncated matrices too.
+    """
+    a2 = _annihilation_squared(_check_dim(n))
+    return Observable("p2-q2", -(a2 + a2.T))
 
 
 def quad_mix(n: int) -> Observable:
-    """The continuous-spectrum combination pq + qp."""
-    q, p = fock_operators(n)
-    return Observable("pq+qp", p.matrix @ q.matrix + q.matrix @ p.matrix)
+    """The continuous-spectrum combination pq + qp = −i(a² − a†²), exact for the
+    truncated matrices as in `quad_plus`."""
+    a2 = _annihilation_squared(_check_dim(n))
+    return Observable("pq+qp", -1j * (a2 - a2.T))
 
 
 def fock_state(k: int, n: int) -> PureState:

@@ -386,3 +386,106 @@ def test_non_integer_fixed_state_slot_exit2(tmp_path, key):
 def test_fixed_states_must_be_an_object(tmp_path):
     config = dict(MINIMIZE_TINY, fixed_states=[{"builder": "fock_n", "k": 0}])
     assert run(tmp_path, "minimize", config)[0] == 2
+
+
+def test_non_utf8_config_exit2(tmp_path, capsys):
+    cfg = tmp_path / "utf16.json"
+    cfg.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert main(["check", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+TYPE_2_M_CHECK = {
+    "urs": [{"id": "type_2_m", "uncorrected": False}],
+    "hilbert_dim": 16,
+    "observables": [{"builder": "fock_q"}, {"builder": "fock_p"}],
+    "states": [{"builder": "fock_n", "k": 0}, {"builder": "fock_n", "k": 1}],
+}
+
+# field -> (command, valid config, path to the field)
+EXTRA_FIELDS = {
+    "check_r": (
+        "check", dict(CHECK_VACUUM, urs=[{"id": "characteristic", "r": 2}]), ("urs", 0, "r")
+    ),
+    "check_uncorrected": ("check", TYPE_2_M_CHECK, ("urs", 0, "uncorrected")),
+    "pinned_dim": ("scan", dict(SCAN_TINY, pinned={"dim": 3}), ("pinned", "dim")),
+    "pinned_n": ("scan", dict(SCAN_TINY, urs=["robertson"], pinned={"n": 3}), ("pinned", "n")),
+    "pinned_m": ("scan", dict(SCAN_TINY, urs=["type_2_m"], pinned={"m": 3}), ("pinned", "m")),
+    "pinned_r": ("scan", dict(SCAN_TINY, urs=["characteristic"], pinned={"r": 1}), ("pinned", "r")),
+    # a scan entry's extras pin its own instances
+    "scan_entry_n": ("scan", dict(SCAN_TINY, urs=[{"id": "robertson", "n": 3}]), ("urs", 0, "n")),
+    "minimize_r": (
+        "minimize", dict(MINIMIZE_TINY, ur="characteristic", fixed_states={}, extras={"r": 1}),
+        ("extras", "r"),
+    ),
+    "compare_r": (
+        "compare", dict(COMPARE_RANDOM, ur_a="characteristic", ur_b="robertson", extras_a={"r": 1}),
+        ("extras_a", "r"),
+    ),
+}
+
+
+@pytest.mark.parametrize("field", sorted(EXTRA_FIELDS))
+def test_malformed_extra_or_pin_exit2(tmp_path, field):
+    command, config, path = EXTRA_FIELDS[field]
+    assert run(tmp_path, command, config)[0] == 0
+    if field.endswith("uncorrected"):
+        bad_values = ["x", "false", 0, 1, None, [True]]
+    else:
+        bad_values = ["x", True, None, [1], float("nan"), 10**400, 2.5]
+    for bad in bad_values:
+        code, _ = run(tmp_path, command, with_path(config, path, bad))
+        assert code == 2, (field, bad)
+
+
+def test_pinned_must_be_an_object(tmp_path):
+    for pinned in ([3], "dim", 3):
+        assert run(tmp_path, "scan", dict(SCAN_TINY, pinned=pinned))[0] == 2, pinned
+
+
+# A raw matrix, irregular whitespace (tabs, CRLF, none around ':'), a \u
+# escape in a name and a non-ASCII name, with blank lines around it.
+RAW_CHECK_TEXT = (
+    '\r\n\t { "urs" :["robertson"],"hilbert_dim":2,\r\n'
+    '  "observables": [ {"builder": "raw_observable", "name": "\\u03c3z é",\n'
+    '\t\t"matrix": [[1, 0],\n [0,-1.0]]},{"builder":"spin_jx","j":0.5}],\n'
+    '"states":[{"builder":"raw_density","matrix":[[[0.5,0],[0,0]],[[0,0],[0.5,0]]]}]}\n\n'
+)
+REPORT_CONFIGS = {
+    "check": json.dumps(CHECK_VACUUM),
+    "check_raw": RAW_CHECK_TEXT,
+    "scan": json.dumps(SCAN_TINY, indent=4),
+    "minimize": json.dumps(MINIMIZE_TINY),
+    "compare": json.dumps(COMPARE_GRID),
+    "divergence": json.dumps(
+        {
+            "observable": {"builder": "fock_q"},
+            "state_a": {"builder": "fock_n", "k": 0},
+            "state_b": {"builder": "coherent", "alpha": [0.5, 0.0]},
+            "hilbert_dim": 32,
+        }
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_CONFIGS))
+def test_report_echoes_config_text_in_indented_report(tmp_path, case):
+    command = case.split("_")[0]
+    config_text = REPORT_CONFIGS[case]
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(config_text.encode("utf-8"))
+    outs = [tmp_path / "r1.json", tmp_path / "r2.json"]
+    for out in outs:
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    text = outs[0].read_bytes()
+    assert text == outs[1].read_bytes()
+    text = text.decode("utf-8")
+    doc = json.loads(text)
+    keys = ["tool", "command", "seed", "hilbert_dim", "config", "results", "summary"]
+    assert list(doc) == keys
+    assert doc["config"] == json.loads(config_text)
+    # everything but the echo keeps json.dumps' 2-space layout; the echo is
+    # the config text without its surrounding whitespace
+    echo = config_text.strip(" \t\r\n")
+    layout = json.dumps(dict(doc, config="<echo>"), indent=2)
+    assert text == layout.replace('"<echo>"', echo) + "\n"

@@ -19,6 +19,8 @@ from urlab.model import (
     coherent_state,
     fock_operators,
     fock_state,
+    quad_mix,
+    quad_plus,
     _annihilation,
     _ideal_tail,
     sample,
@@ -75,6 +77,24 @@ def test_observables_are_hermitian_and_frozen():
     assert np.max(np.abs(q.matrix - q.matrix.conj().T)) < 1e-15
     with pytest.raises(ValueError):
         q.matrix[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 64, MAX_DIM])
+def test_quadratic_observables_match_quadrature_products(n):
+    # reference: the dense products of the truncated quadratures
+    q, p = (o.matrix for o in fock_operators(n))
+    for built, ref in ((quad_plus(n), p @ p - q @ q), (quad_mix(n), p @ q + q @ p)):
+        m = built.matrix
+        assert np.abs(m - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+        assert (m == m.conj().T).all()
+    assert (quad_plus(n).name, quad_mix(n).name) == ("p2-q2", "pq+qp")
+
+
+@pytest.mark.parametrize("n", [1, MAX_DIM + 1])
+def test_quadratic_observables_check_dim(n):
+    for build in (quad_plus, quad_mix):
+        with pytest.raises(InputError):
+            build(n)
 
 
 # ---------------------------------------------------------------------------
