@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import UR_SPECS, _pairwise_extended_sides, evaluate_ur, type_1_2
+from .catalog import UR_SPECS, _mean_commutator, _pairwise_extended_sides, evaluate_ur, type_1_2
 from .errors import InputError, TruncationError
 from .linalg import slack_tolerance
 from .model import Observable, PureState, fock_operators, squeezed_state
@@ -419,14 +419,7 @@ def saturation_transfer_audit(
         key = id(state)
         if key not in cache:
             ms = moment_set((x, y), state)
-            if isinstance(state, PureState):
-                z = np.vdot(x.matrix @ state.amplitudes, y.matrix @ state.amplitudes)
-                comm = z - np.conj(z)
-            else:
-                rho = state.matrix
-                comm = complex(
-                    np.trace(rho @ (x.matrix @ y.matrix - y.matrix @ x.matrix))
-                )
+            comm = _mean_commutator(x, y, state)
             sur = ms.sigma[0, 0] * ms.sigma[1, 1] - ms.sigma[0, 1] ** 2 - abs(comm) ** 2 / 4
             cache[key] = (ms, comm, float(sur))
         return cache[key]

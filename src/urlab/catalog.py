@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from . import linalg
 from .errors import InputError, NumericError
 from .linalg import slack_scale, slack_tolerance
 from .model import DensityMatrix, Observable, PureState, QuantumState
-from .moments import GramUR, MomentSet, moment_set, robertson_matrix
+from .moments import GramUR, MomentSet, gram_centered, gram_raw, moment_set, robertson_matrix
 
 
 class _LazyDigest:
@@ -232,27 +233,9 @@ def type_1_2(x: Observable, psi1: PureState, psi2: PureState, variant: str) -> U
 
     Variant "a" compares the variance product against the centered cross term
     |<psi1|(X-<X>_1)(X-<X>_2)|psi2>|²; variant "b" compares <X²>_1 <X²>_2
-    against |<psi1|X²|psi2>|².
+    against |<psi1|X²|psi2>|². This is the (2,2) check with Y = X.
     """
-    _require_pure((psi1, psi2))
-    if variant not in ("a", "b"):
-        raise InputError(f"variant must be 'a' or 'b', got {variant!r}")
-    ms1 = moment_set((x,), psi1)
-    ms2 = moment_set((x,), psi2)
-    v1, v2 = ms1.sigma[0, 0], ms2.sigma[0, 0]
-    m1, m2 = ms1.means[0], ms2.means[0]
-    x1 = x.matrix @ psi1.amplitudes
-    x2 = x.matrix @ psi2.amplitudes
-    if variant == "a":
-        chi1 = x1 - m1 * psi1.amplitudes
-        chi2 = x2 - m2 * psi2.amplitudes
-        lhs = v1 * v2
-        rhs = abs(np.vdot(chi1, chi2)) ** 2
-    else:
-        lhs = (v1 + m1 * m1) * (v2 + m2 * m2)
-        rhs = abs(np.vdot(x1, x2)) ** 2
-    digest = _digest(f"type_1_2{variant}", (x,), (psi1, psi2))
-    return _report(f"type_1_2{variant}", 1, 2, lhs, rhs, digest)
+    return _cross_state_pair("type_1_2", (x,), psi1, psi2, variant)
 
 
 def type_2_2(
@@ -261,9 +244,15 @@ def type_2_2(
     """Cross-state pair check: variance (variant "a") or raw second moment
     (variant "b") of X in psi1 against Y in psi2, bounded by the matching
     Schwartz cross term."""
+    return _cross_state_pair("type_2_2", (x, y), psi1, psi2, variant)
+
+
+def _cross_state_pair(family: str, observables, psi1, psi2, variant: str) -> URReport:
+    """Body of the (1,2) and (2,2) checks: X is the first observable, Y the last."""
     _require_pure((psi1, psi2))
     if variant not in ("a", "b"):
         raise InputError(f"variant must be 'a' or 'b', got {variant!r}")
+    x, y = observables[0], observables[-1]
     ms1 = moment_set((x,), psi1)
     ms2 = moment_set((y,), psi2)
     vx1, my2 = ms1.sigma[0, 0], ms2.means[0]
@@ -278,8 +267,9 @@ def type_2_2(
     else:
         lhs = (vx1 + mx1 * mx1) * (vy2 + my2 * my2)
         rhs = abs(np.vdot(x1, y2)) ** 2
-    digest = _digest(f"type_2_2{variant}", (x, y), (psi1, psi2))
-    return _report(f"type_2_2{variant}", 2, 2, lhs, rhs, digest)
+    ur_id = family + variant
+    digest = _digest(ur_id, observables, (psi1, psi2))
+    return _report(ur_id, len(observables), 2, lhs, rhs, digest)
 
 
 def _pairwise_extended_sides(msets: list[MomentSet], comms: list[complex]) -> tuple[float, float]:
@@ -308,11 +298,16 @@ def extended_schrodinger(
     With ψ1 = ψ2 this is exactly the Schrödinger check.
     """
     _require_pure((psi1, psi2))
-    msets = [moment_set((x, y), s) for s in (psi1, psi2)]
-    comms = [_mean_commutator(x, y, s) for s in (psi1, psi2)]
+    return _pairwise_extended("extended_schrodinger", x, y, (psi1, psi2))
+
+
+def _pairwise_extended(ur_id: str, x: Observable, y: Observable, states, extras=()) -> URReport:
+    """Body of the extended Schrödinger and (2,m) checks."""
+    msets = [moment_set((x, y), s) for s in states]
+    comms = [_mean_commutator(x, y, s) for s in states]
     lhs, rhs = _pairwise_extended_sides(msets, comms)
-    digest = _digest("extended_schrodinger", (x, y), (psi1, psi2))
-    return _report("extended_schrodinger", 2, 2, lhs, rhs, digest)
+    digest = _digest(ur_id, (x, y), tuple(states), extras)
+    return _report(ur_id, 2, len(states), lhs, rhs, digest)
 
 
 def entangled_heisenberg(
@@ -340,7 +335,7 @@ def entangled_heisenberg(
 # many-state checks
 
 
-def type_2_m(x: Observable, y: Observable, states, uncorrected: bool = False) -> URReport:
+def type_2_m(x: Observable, y: Observable, states) -> URReport:
     """Pairwise state-extended check for two observables over m >= 2 states
     (pure or mixed), one symmetrized term per state pair:
 
@@ -349,29 +344,13 @@ def type_2_m(x: Observable, y: Observable, states, uncorrected: bool = False) ->
 
     At m = 2 this is exactly the extended Schrödinger check; the slack equals
     half the superadditivity gap of the per-state Robertson matrices at order
-    n = 2. ``uncorrected`` evaluates an unsymmetrized variant (X-X variance
-    products and a ΔXY·ΔY² covariance term), kept only for comparison: it does
-    not reduce consistently at m = 2 and its validity is not asserted.
+    n = 2.
     """
     m = len(states)
     if m < 2:
         raise InputError(f"type_2_m requires m >= 2 states, got {m}")
-    msets = [moment_set((x, y), s) for s in states]
-    comms = [_mean_commutator(x, y, s) for s in states]
-    if not uncorrected:
-        lhs, rhs = _pairwise_extended_sides(msets, comms)
-    else:
-        lhs = 0.0
-        rhs = 0.0
-        cs = [_real_audited(-0.5j * c, "mean commutator") for c in comms]
-        for i in range(m):
-            for j in range(i + 1, m):
-                a, b = msets[i], msets[j]
-                lhs += a.sigma[0, 0] * b.sigma[1, 1] + b.sigma[0, 0] * a.sigma[0, 0]
-                lhs -= 2 * a.sigma[0, 1] * b.sigma[1, 1]
-                rhs += 2 * cs[i] * cs[j]
-    digest = _digest("type_2_m", (x, y), tuple(states), (uncorrected,))
-    return _report("type_2_m", 2, m, lhs, rhs, digest)
+    # hashing (False,) as extras keeps the digests of recorded type_2_m reports valid
+    return _pairwise_extended("type_2_m", x, y, states, (False,))
 
 
 def char_gap_check(matrices, r: int, flavor: str) -> URReport:
@@ -406,83 +385,78 @@ def char_gap_check(matrices, r: int, flavor: str) -> URReport:
 
 @dataclass(frozen=True)
 class URSpec:
-    """Call signature of a catalog check: how many observables and state slots
-    it takes, whether the slots accept mixed states."""
+    """Call signature of a catalog check (how many observables and state slots
+    it takes, whether they accept mixed states) and its evaluator. Evaluators
+    call their check by its module-level name, so a rebinding is honoured."""
 
     ur_id: str
-    n_observables: int  # -1 = variable (>= 2)
-    n_states: int  # -1 = variable (>= 2)
+    n_observables: int  # -1 = variable (>= 2), 0 = any number
+    n_states: int  # -1 = variable (>= 2), 0 = any number
     pure_only: bool
+    evaluate: Callable[[tuple, tuple, dict], URReport]
 
 
 UR_SPECS = {
-    "heisenberg": URSpec("heisenberg", 2, 1, False),
-    "schrodinger": URSpec("schrodinger", 2, 1, False),
-    "robertson": URSpec("robertson", -1, 1, False),
-    "characteristic": URSpec("characteristic", -1, 1, False),
-    "type_1_2a": URSpec("type_1_2a", 1, 2, True),
-    "type_1_2b": URSpec("type_1_2b", 1, 2, True),
-    "type_2_1": URSpec("type_2_1", 2, 1, False),
-    "type_2_2a": URSpec("type_2_2a", 2, 2, True),
-    "type_2_2b": URSpec("type_2_2b", 2, 2, True),
-    "extended_schrodinger": URSpec("extended_schrodinger", 2, 2, True),
-    "entangled_heisenberg": URSpec("entangled_heisenberg", 2, 2, True),
-    "type_3_1": URSpec("type_3_1", 3, 1, True),
-    "type_2_m": URSpec("type_2_m", 2, -1, False),
-    "coherent_fixed": URSpec("coherent_fixed", 2, 1, False),
+    "heisenberg": URSpec("heisenberg", 2, 1, False, lambda o, s, e: heisenberg(*o, *s)),
+    "schrodinger": URSpec("schrodinger", 2, 1, False, lambda o, s, e: schrodinger(*o, *s)),
+    "robertson": URSpec("robertson", -1, 1, False, lambda o, s, e: robertson(o, *s)),
+    "characteristic": URSpec(
+        "characteristic", -1, 1, False, lambda o, s, e: characteristic(o, *s, e.get("r", len(o)))
+    ),
+    "type_1_2a": URSpec("type_1_2a", 1, 2, True, lambda o, s, e: type_1_2(*o, *s, "a")),
+    "type_1_2b": URSpec("type_1_2b", 1, 2, True, lambda o, s, e: type_1_2(*o, *s, "b")),
+    "type_2_1": URSpec("type_2_1", 2, 1, False, lambda o, s, e: type_2_1(*o, *s)),
+    "type_2_2a": URSpec("type_2_2a", 2, 2, True, lambda o, s, e: type_2_2(*o, *s, "a")),
+    "type_2_2b": URSpec("type_2_2b", 2, 2, True, lambda o, s, e: type_2_2(*o, *s, "b")),
+    "extended_schrodinger": URSpec(
+        "extended_schrodinger", 2, 2, True, lambda o, s, e: extended_schrodinger(*o, *s)
+    ),
+    "entangled_heisenberg": URSpec(
+        "entangled_heisenberg", 2, 2, True, lambda o, s, e: entangled_heisenberg(*o, *s)
+    ),
+    "type_3_1": URSpec("type_3_1", 3, 1, True, lambda o, s, e: type_3_1(*o, *s)),
+    "type_2_m": URSpec("type_2_m", 2, -1, False, lambda o, s, e: type_2_m(*o, s)),
+    "coherent_fixed": URSpec("coherent_fixed", 2, 1, False, lambda o, s, e: coherent_fixed(*o, *s)),
+}
+
+# The characteristic gaps build one psd matrix per state before checking, so
+# they take any number of observables and states; UR_SPECS lists the others.
+CHAR_GAP_IDS = ("char_gap_entangled", "char_gap_superadditive")
+# the per-state matrices char_gap_from_states can build
+H_CHOICES = ("robertson", "centered", "raw")
+
+
+def _char_gap_evaluate(ur_id: str, observables, states, extras) -> URReport:
+    r, h_choice = extras.get("r"), extras.get("h_choice", "robertson")
+    return char_gap_from_states(ur_id, observables, states, r=r, h_choice=h_choice)
+
+
+_SPECS = {
+    **UR_SPECS,
+    **{g: URSpec(g, 0, 0, False, partial(_char_gap_evaluate, g)) for g in CHAR_GAP_IDS},
 }
 
 
 def evaluate_ur(ur_id: str, observables, states, **extras) -> URReport:
     """Evaluate a catalog check by name on explicit observables and states.
 
-    ``extras`` forwards check-specific parameters: r (characteristic),
-    uncorrected (type_2_m).
+    ``extras`` forwards check-specific parameters: r (characteristic and the
+    characteristic gaps), h_choice (the characteristic gaps).
     """
-    spec = UR_SPECS.get(ur_id)
+    spec = _SPECS.get(ur_id)
     if spec is None:
         raise InputError(f"unknown UR id {ur_id!r}")
     observables = tuple(observables)
     states = tuple(states)
-    if spec.n_observables >= 0 and len(observables) != spec.n_observables:
-        raise InputError(
-            f"{ur_id} takes {spec.n_observables} observables, got {len(observables)}"
-        )
-    if spec.n_observables < 0 and len(observables) < 2:
-        raise InputError(f"{ur_id} takes at least 2 observables")
-    if spec.n_states >= 0 and len(states) != spec.n_states:
-        raise InputError(f"{ur_id} takes {spec.n_states} states, got {len(states)}")
-    if spec.n_states < 0 and len(states) < 2:
-        raise InputError(f"{ur_id} takes at least 2 states")
-    if spec.pure_only:
-        _require_pure(states)
-
-    if ur_id == "heisenberg":
-        return heisenberg(*observables, states[0])
-    if ur_id == "schrodinger":
-        return schrodinger(*observables, states[0])
-    if ur_id == "robertson":
-        return robertson(observables, states[0])
-    if ur_id == "characteristic":
-        r = extras.get("r", len(observables))
-        return characteristic(observables, states[0], r)
-    if ur_id in ("type_1_2a", "type_1_2b"):
-        return type_1_2(observables[0], states[0], states[1], ur_id[-1])
-    if ur_id == "type_2_1":
-        return type_2_1(*observables, states[0])
-    if ur_id in ("type_2_2a", "type_2_2b"):
-        return type_2_2(*observables, states[0], states[1], ur_id[-1])
-    if ur_id == "extended_schrodinger":
-        return extended_schrodinger(*observables, states[0], states[1])
-    if ur_id == "entangled_heisenberg":
-        return entangled_heisenberg(*observables, states[0], states[1])
-    if ur_id == "type_3_1":
-        return type_3_1(*observables, states[0])
-    if ur_id == "type_2_m":
-        return type_2_m(*observables, states, uncorrected=extras.get("uncorrected", False))
-    if ur_id == "coherent_fixed":
-        return coherent_fixed(*observables, states[0])
-    raise InputError(f"unknown UR id {ur_id!r}")
+    for what, want, got in (
+        ("observables", spec.n_observables, len(observables)),
+        ("states", spec.n_states, len(states)),
+    ):
+        if want > 0 and got != want:
+            raise InputError(f"{ur_id} takes {want} {what}, got {got}")
+        if want < 0 and got < 2:
+            raise InputError(f"{ur_id} takes at least 2 {what}")
+    return spec.evaluate(observables, states, extras)
 
 
 def char_gap_from_states(
@@ -495,12 +469,7 @@ def char_gap_from_states(
     Gram choices need one pure state per observable and are applied per state
     by using that state in every slot.
     """
-    from .moments import gram_centered, gram_raw  # local import to avoid cycle noise
-
-    flavor = {"char_gap_entangled": "entangled", "char_gap_superadditive": "superadditive"}.get(
-        ur_kind
-    )
-    if flavor is None:
+    if ur_kind not in CHAR_GAP_IDS:
         raise InputError(f"unknown characteristic-gap kind {ur_kind!r}")
     mats = []
     for s in states:
@@ -514,4 +483,4 @@ def char_gap_from_states(
             raise InputError(f"unknown H choice {h_choice!r}")
     if r is None:
         r = len(observables)
-    return char_gap_check(mats, r, flavor)
+    return char_gap_check(mats, r, ur_kind.removeprefix("char_gap_"))

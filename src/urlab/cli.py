@@ -20,10 +20,9 @@ import numpy as np
 
 from . import __version__
 from .analysis import compare_precision, minimize_slack, divergence
-from .catalog import UR_SPECS, URReport, evaluate_ur
+from .catalog import CHAR_GAP_IDS, H_CHOICES, UR_SPECS, URReport, evaluate_ur
 from .ensembles import (
     DEFAULT_SCAN_URS,
-    CHAR_GAP_IDS,
     coherent_pair_grid,
     random_instances,
     scan_report,
@@ -124,7 +123,8 @@ def _parse_slot(key: str) -> int:
 
 
 def _parse_extras(extras, what: str) -> dict:
-    """Check extras or scan pins: integer fields parsed, `uncorrected` a boolean.
+    """Check extras or scan pins: integer fields parsed, `h_choice` one of
+    H_CHOICES.
 
     Every command that forwards extras to a check parses them here.
     """
@@ -134,9 +134,9 @@ def _parse_extras(extras, what: str) -> dict:
     for key in _INT_EXTRAS:
         if key in out:
             out[key] = _parse_int(out[key], f"{what} {key!r}")
-    uncorrected = out.get("uncorrected", False)
-    if not isinstance(uncorrected, bool):
-        raise ConfigError(f"{what} 'uncorrected' must be true or false, got {uncorrected!r}")
+    h_choice = out.get("h_choice", H_CHOICES[0])
+    if h_choice not in H_CHOICES:
+        raise ConfigError(f"{what} 'h_choice' must be one of {H_CHOICES}, got {h_choice!r}")
     return out
 
 
@@ -256,18 +256,7 @@ def run_check(config: dict, seed: int, dim: int) -> tuple[dict, int]:
         raise ConfigError("check needs explicit 'observables' and 'states'")
     rows = []
     for ur_id, extras in _ur_entries(config):
-        if ur_id in CHAR_GAP_IDS:
-            from .catalog import char_gap_from_states
-
-            report = char_gap_from_states(
-                ur_id,
-                observables,
-                states,
-                r=extras.get("r"),
-                h_choice=extras.get("h_choice", "robertson"),
-            )
-        else:
-            report = evaluate_ur(ur_id, observables, states, **extras)
+        report = evaluate_ur(ur_id, observables, states, **extras)
         rows.append(_report_row(report, rtol))
     n_viol = sum(not r["holds"] for r in rows)
     summary = {
@@ -526,6 +515,11 @@ def main(argv=None) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    elif hasattr(sys.stdout, "buffer"):
+        # the report is UTF-8 whatever encoding stdout was opened with
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
+        sys.stdout.buffer.flush()
     else:
         sys.stdout.write(text)
     return code

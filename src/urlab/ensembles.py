@@ -10,7 +10,7 @@ import hashlib
 
 import numpy as np
 
-from .catalog import UR_SPECS, URReport, evaluate_ur, char_gap_from_states
+from .catalog import CHAR_GAP_IDS, H_CHOICES, UR_SPECS, URReport, evaluate_ur
 from .errors import InputError
 from .model import DensityMatrix, Observable, PureState, coherent_state, fock_operators
 
@@ -34,8 +34,6 @@ DEFAULT_SCAN_URS = (
     "char_gap_entangled",
     "char_gap_superadditive",
 )
-
-CHAR_GAP_IDS = ("char_gap_entangled", "char_gap_superadditive")
 
 
 def stream_rng(seed: int, name: str) -> np.random.Generator:
@@ -66,58 +64,52 @@ def rand_state(rng: np.random.Generator, dim: int, allow_mixed: bool):
     return rand_pure(rng, dim)
 
 
+def _draw(ur_id: str, rng: np.random.Generator, dims: list, pinned: dict):
+    """One random admissible instance of the named check, as (dim, observables,
+    states, extras). A pinned dim, n, m or r still consumes its draw (a pinned
+    h_choice does not): seeded reports and digests depend on this order."""
+    dim = int(pinned.get("dim", dims[int(rng.integers(len(dims)))]))
+    extras = {}
+    if ur_id in CHAR_GAP_IDS:
+        n_obs = int(pinned.get("n", rng.integers(2, 4)))
+        n_states = int(pinned.get("m", rng.integers(1, 4)))
+        extras["r"] = int(pinned.get("r", rng.integers(1, n_obs + 1)))
+        extras["h_choice"] = pinned.get("h_choice") or H_CHOICES[int(rng.integers(3))]
+        allow_mixed = extras["h_choice"] == "robertson"
+    else:
+        spec = UR_SPECS.get(ur_id)
+        if spec is None:
+            raise InputError(f"unknown UR id {ur_id!r}")
+        n_obs, n_states = spec.n_observables, spec.n_states
+        if n_obs < 0:
+            n_obs = int(pinned.get("n", rng.integers(2, 5)))
+        if n_states < 0:
+            n_states = int(pinned.get("m", rng.integers(2, 5)))
+        allow_mixed = not spec.pure_only
+    observables = tuple(rand_observable(rng, dim, f"H{i}") for i in range(n_obs))
+    states = tuple(rand_state(rng, dim, allow_mixed) for _ in range(n_states))
+    return dim, observables, states, extras
+
+
 def scan_report(ur_id: str, rng: np.random.Generator, dims, pinned=None) -> URReport:
     """Draw one random admissible instance of the named check and evaluate it."""
     pinned = pinned or {}
-    dims = list(dims)
-    dim = int(pinned.get("dim", dims[int(rng.integers(len(dims)))]))
-
-    if ur_id in CHAR_GAP_IDS:
-        n_obs = int(pinned.get("n", rng.integers(2, 4)))
-        m = int(pinned.get("m", rng.integers(1, 4)))
-        r = int(pinned.get("r", rng.integers(1, n_obs + 1)))
-        h_choice = pinned.get("h_choice") or ("robertson", "centered", "raw")[
-            int(rng.integers(3))
-        ]
-        observables = [rand_observable(rng, dim, f"H{i}") for i in range(n_obs)]
-        mixed_ok = h_choice == "robertson"
-        states = [rand_state(rng, dim, mixed_ok) for _ in range(m)]
-        return char_gap_from_states(ur_id, observables, states, r=r, h_choice=h_choice)
-
-    spec = UR_SPECS.get(ur_id)
-    if spec is None:
-        raise InputError(f"unknown UR id {ur_id!r}")
-    if spec.n_observables >= 0:
-        n_obs = spec.n_observables
-    else:
-        n_obs = int(pinned.get("n", rng.integers(2, 5)))
-    if spec.n_states >= 0:
-        n_states = spec.n_states
-    else:
-        n_states = int(pinned.get("m", rng.integers(2, 5)))
-    observables = [rand_observable(rng, dim, f"H{i}") for i in range(n_obs)]
-    states = [rand_state(rng, dim, not spec.pure_only) for _ in range(n_states)]
-    extras = {}
+    _, observables, states, extras = _draw(ur_id, rng, list(dims), pinned)
     if ur_id == "characteristic":
-        extras["r"] = int(pinned.get("r", rng.integers(1, n_obs + 1)))
+        extras["r"] = int(pinned.get("r", rng.integers(1, len(observables) + 1)))
     return evaluate_ur(ur_id, observables, states, **extras)
 
 
 def random_instances(ur_id: str, size: int, dims, seed: int):
     """Labeled (observables, states) draws shaped for the named check,
     reusable across checks with the same signature."""
-    spec = UR_SPECS.get(ur_id)
-    if spec is None or ur_id in CHAR_GAP_IDS:
+    if ur_id not in UR_SPECS:
         raise InputError(f"no generic instance generator for {ur_id!r}")
     rng = stream_rng(seed, f"instances:{ur_id}")
     dims = list(dims)
     out = []
     for k in range(size):
-        dim = dims[int(rng.integers(len(dims)))]
-        n_obs = spec.n_observables if spec.n_observables >= 0 else int(rng.integers(2, 5))
-        n_states = spec.n_states if spec.n_states >= 0 else int(rng.integers(2, 5))
-        observables = tuple(rand_observable(rng, dim, f"H{i}") for i in range(n_obs))
-        states = tuple(rand_state(rng, dim, not spec.pure_only) for _ in range(n_states))
+        dim, observables, states, _ = _draw(ur_id, rng, dims, {})
         out.append((f"{ur_id}[{k}] dim={dim}", observables, states))
     return out
 

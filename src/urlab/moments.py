@@ -80,7 +80,7 @@ def second_moment_matrix(observables, state: QuantumState) -> np.ndarray:
     mats = _observable_matrices(observables, state)
     if isinstance(state, PureState):
         return _pure_second_moments(mats, state.amplitudes)[1]
-    return _mixed_second_moments(mats, state.matrix)
+    return _mixed_second_moments(mats, state.matrix)[1]
 
 
 def _pure_second_moments(mats: list[np.ndarray], psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,7 +89,8 @@ def _pure_second_moments(mats: list[np.ndarray], psi: np.ndarray) -> tuple[np.nd
     return stack, stack.conj() @ stack.T
 
 
-def _mixed_second_moments(mats: list[np.ndarray], rho: np.ndarray) -> np.ndarray:
+def _mixed_second_moments(mats: list[np.ndarray], rho: np.ndarray) -> tuple[list, np.ndarray]:
+    """The products rho X_i and M_jk = Tr(rho X_j X_k)."""
     n = len(mats)
     left = [rho @ m for m in mats]
     out = np.empty((n, n), dtype=complex)
@@ -97,7 +98,7 @@ def _mixed_second_moments(mats: list[np.ndarray], rho: np.ndarray) -> np.ndarray
         lj = left[j].T
         for k in range(n):
             out[j, k] = np.sum(lj * mats[k])
-    return out
+    return left, out
 
 
 def moment_set(observables, state: QuantumState) -> MomentSet:
@@ -112,9 +113,8 @@ def moment_set(observables, state: QuantumState) -> MomentSet:
         stack, m2 = _pure_second_moments(mats, psi)
         means_c = np.array([np.vdot(psi, v) for v in stack])
     else:
-        rho = state.matrix
-        means_c = np.array([np.trace(rho @ m) for m in mats])
-        m2 = _mixed_second_moments(mats, rho)
+        left, m2 = _mixed_second_moments(mats, state.matrix)
+        means_c = np.array([np.trace(lm) for lm in left])
     means = _audit_real(means_c, "observable means")
     sym = (m2 + m2.T) / 2
     sigma = _audit_real(sym, "uncertainty matrix") - np.outer(means, means)

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from urlab.catalog import (
+    CHAR_GAP_IDS,
+    UR_SPECS,
     URReport,
     _digest,
+    char_gap_from_states,
     characteristic,
     coherent_fixed,
     entangled_heisenberg,
@@ -488,15 +491,6 @@ def test_type_2_m_slack_is_half_superadditive_gap():
     assert rep.slack == pytest.approx(gap / 2, rel=1e-9, abs=1e-12)
 
 
-def test_type_2_m_uncorrected_evaluable():
-    rng = np.random.default_rng(21)
-    d = 5
-    x, y = rand_observables(rng, 2, d)
-    states = [rand_pure(rng, d) for _ in range(3)]
-    rep = type_2_m(x, y, states, uncorrected=True)
-    assert math.isfinite(rep.slack)
-
-
 # ---------------------------------------------------------------------------
 # char_gap_check
 
@@ -655,6 +649,63 @@ def test_evaluate_ur_dispatch_and_signature_checks():
         evaluate_ur("type_1_2a", (q,), (vac,))
     with pytest.raises(InputError):
         evaluate_ur("no_such_ur", (q, p), (vac,))
+
+
+# id -> (number of observables, number of states, extras, the named evaluator called directly)
+TABLE_CASES = {
+    "heisenberg": (2, 1, {}, lambda o, s: heisenberg(o[0], o[1], s[0])),
+    "schrodinger": (2, 1, {}, lambda o, s: schrodinger(o[0], o[1], s[0])),
+    "robertson": (3, 1, {}, lambda o, s: robertson(o, s[0])),
+    "characteristic": (3, 1, {"r": 2}, lambda o, s: characteristic(o, s[0], 2)),
+    "type_1_2a": (1, 2, {}, lambda o, s: type_1_2(o[0], s[0], s[1], "a")),
+    "type_1_2b": (1, 2, {}, lambda o, s: type_1_2(o[0], s[0], s[1], "b")),
+    "type_2_1": (2, 1, {}, lambda o, s: type_2_1(o[0], o[1], s[0])),
+    "type_2_2a": (2, 2, {}, lambda o, s: type_2_2(o[0], o[1], s[0], s[1], "a")),
+    "type_2_2b": (2, 2, {}, lambda o, s: type_2_2(o[0], o[1], s[0], s[1], "b")),
+    "extended_schrodinger": (2, 2, {}, lambda o, s: extended_schrodinger(o[0], o[1], s[0], s[1])),
+    "entangled_heisenberg": (2, 2, {}, lambda o, s: entangled_heisenberg(o[0], o[1], s[0], s[1])),
+    "type_3_1": (3, 1, {}, lambda o, s: type_3_1(o[0], o[1], o[2], s[0])),
+    "type_2_m": (2, 3, {}, lambda o, s: type_2_m(o[0], o[1], s)),
+    "coherent_fixed": (2, 1, {}, lambda o, s: coherent_fixed(o[0], o[1], s[0])),
+    "char_gap_entangled": (
+        2, 3, {"r": 1}, lambda o, s: char_gap_from_states("char_gap_entangled", o, s, r=1)
+    ),
+    "char_gap_superadditive": (
+        3,
+        2,
+        {"h_choice": "centered"},
+        lambda o, s: char_gap_from_states("char_gap_superadditive", o, s, h_choice="centered"),
+    ),
+}
+
+
+def _table_instance(rng, ur_id, mixed_slot):
+    n_obs, n_states, _, _ = TABLE_CASES[ur_id]
+    observables = rand_observables(rng, n_obs, 4)
+    states = [rand_pure(rng, 4) for _ in range(n_states)]
+    if mixed_slot is not None:
+        states[mixed_slot] = sample("density", 4, int(rng.integers(1 << 31)))
+    return observables, states
+
+
+def test_evaluate_ur_matches_each_named_evaluator():
+    assert set(TABLE_CASES) == set(UR_SPECS) | set(CHAR_GAP_IDS)
+    rng = np.random.default_rng(40)
+    for ur_id, (_, _, extras, direct) in TABLE_CASES.items():
+        spec = UR_SPECS.get(ur_id)
+        pure = spec.pure_only if spec else "h_choice" in extras  # centered Grams take pure states
+        observables, states = _table_instance(rng, ur_id, None if pure else 0)
+        via_table = evaluate_ur(ur_id, observables, states, **extras)
+        assert via_table.as_dict() == direct(observables, states).as_dict(), ur_id
+
+
+@pytest.mark.parametrize("ur_id", [u for u, spec in UR_SPECS.items() if spec.pure_only])
+def test_pure_only_ids_reject_a_density_matrix(ur_id):
+    rng = np.random.default_rng(41)
+    last = TABLE_CASES[ur_id][1] - 1
+    observables, states = _table_instance(rng, ur_id, last)
+    with pytest.raises(InputError, match=rf"^state {last} must be pure for this check$"):
+        evaluate_ur(ur_id, observables, states)
 
 
 def test_realness_audit_passes_on_admissible_inputs():

@@ -2,11 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import urlab
+from urlab.catalog import char_gap_from_states
 from urlab.cli import _parse_matrix, main
+from urlab.model import fock_operators, fock_state, squeezed_state
 
 
 def write_config(tmp_path, name, payload):
@@ -102,6 +109,35 @@ def test_check_raw_density(tmp_path):
     }
     code, doc = run(tmp_path, "check", config)
     assert code == 0
+
+
+def test_check_gap_rows_match_char_gap_from_states(tmp_path):
+    config = {
+        "urs": [
+            "char_gap_entangled",
+            {"id": "char_gap_superadditive", "r": 1},
+            {"id": "char_gap_entangled", "r": 2, "h_choice": "centered"},
+            {"id": "char_gap_superadditive", "h_choice": "raw"},
+        ],
+        "hilbert_dim": 32,
+        "observables": [{"builder": "fock_q"}, {"builder": "fock_p"}],
+        "states": [
+            {"builder": "fock_n", "k": 1},
+            {"builder": "squeezed", "alpha": [0.3, 0.1], "r": 0.4, "phi": 0.2},
+        ],
+    }
+    code, doc = run(tmp_path, "check", config)
+    assert code == 0
+    observables = fock_operators(32)
+    states = (fock_state(1, 32), squeezed_state(complex(0.3, 0.1), 0.4, 0.2, 32))
+    expected = [
+        char_gap_from_states("char_gap_entangled", observables, states),
+        char_gap_from_states("char_gap_superadditive", observables, states, r=1),
+        char_gap_from_states("char_gap_entangled", observables, states, r=2, h_choice="centered"),
+        char_gap_from_states("char_gap_superadditive", observables, states, h_choice="raw"),
+    ]
+    for row, rep in zip(doc["results"], expected, strict=True):
+        assert row == dict(rep.as_dict(), holds=True)
 
 
 SCAN_SMALL = {
@@ -395,25 +431,32 @@ def test_non_utf8_config_exit2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
-TYPE_2_M_CHECK = {
-    "urs": [{"id": "type_2_m", "uncorrected": False}],
-    "hilbert_dim": 16,
-    "observables": [{"builder": "fock_q"}, {"builder": "fock_p"}],
-    "states": [{"builder": "fock_n", "k": 0}, {"builder": "fock_n", "k": 1}],
-}
-
 # field -> (command, valid config, path to the field)
 EXTRA_FIELDS = {
     "check_r": (
         "check", dict(CHECK_VACUUM, urs=[{"id": "characteristic", "r": 2}]), ("urs", 0, "r")
     ),
-    "check_uncorrected": ("check", TYPE_2_M_CHECK, ("urs", 0, "uncorrected")),
+    "check_h_choice": (
+        "check",
+        dict(CHECK_VACUUM, urs=[{"id": "char_gap_entangled", "h_choice": "centered"}]),
+        ("urs", 0, "h_choice"),
+    ),
     "pinned_dim": ("scan", dict(SCAN_TINY, pinned={"dim": 3}), ("pinned", "dim")),
     "pinned_n": ("scan", dict(SCAN_TINY, urs=["robertson"], pinned={"n": 3}), ("pinned", "n")),
     "pinned_m": ("scan", dict(SCAN_TINY, urs=["type_2_m"], pinned={"m": 3}), ("pinned", "m")),
     "pinned_r": ("scan", dict(SCAN_TINY, urs=["characteristic"], pinned={"r": 1}), ("pinned", "r")),
+    "pinned_h_choice": (
+        "scan",
+        dict(SCAN_TINY, urs=["char_gap_superadditive"], pinned={"h_choice": "raw"}),
+        ("pinned", "h_choice"),
+    ),
     # a scan entry's extras pin its own instances
     "scan_entry_n": ("scan", dict(SCAN_TINY, urs=[{"id": "robertson", "n": 3}]), ("urs", 0, "n")),
+    "scan_entry_h_choice": (
+        "scan",
+        dict(SCAN_TINY, urs=[{"id": "char_gap_entangled", "h_choice": "centered"}]),
+        ("urs", 0, "h_choice"),
+    ),
     "minimize_r": (
         "minimize", dict(MINIMIZE_TINY, ur="characteristic", fixed_states={}, extras={"r": 1}),
         ("extras", "r"),
@@ -429,8 +472,8 @@ EXTRA_FIELDS = {
 def test_malformed_extra_or_pin_exit2(tmp_path, field):
     command, config, path = EXTRA_FIELDS[field]
     assert run(tmp_path, command, config)[0] == 0
-    if field.endswith("uncorrected"):
-        bad_values = ["x", "false", 0, 1, None, [True]]
+    if field.endswith("h_choice"):
+        bad_values = ["bogus", "Raw", 0, True, None, ["raw"]]
     else:
         bad_values = ["x", True, None, [1], float("nan"), 10**400, 2.5]
     for bad in bad_values:
@@ -489,3 +532,17 @@ def test_report_echoes_config_text_in_indented_report(tmp_path, case):
     echo = config_text.strip(" \t\r\n")
     layout = json.dumps(dict(doc, config="<echo>"), indent=2)
     assert text == layout.replace('"<echo>"', echo) + "\n"
+
+
+def test_stdout_report_is_utf8_whatever_the_stdout_encoding(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(CHECK_VACUUM, note="é"), ensure_ascii=False), encoding="utf-8")
+    out = tmp_path / "report.json"
+    src = str(Path(urlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONIOENCODING="ascii", PYTHONPATH=src)
+    command = [sys.executable, "-m", "urlab", "check", "--config", str(cfg)]
+    proc = subprocess.run(command, env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["check", "--config", str(cfg), "--out", str(out)]) == 0
+    assert proc.stdout == out.read_bytes()
+    assert "é".encode("utf-8") in proc.stdout
