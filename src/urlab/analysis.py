@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import UR_SPECS, _mean_commutator, _pairwise_extended_sides, evaluate_ur, type_1_2
+from .catalog import UR_SPECS, _pairwise_extended_sides, evaluate_ur, type_1_2
 from .errors import InputError, TruncationError
 from .linalg import slack_tolerance
 from .model import Observable, PureState, fock_operators, squeezed_state
@@ -158,14 +158,6 @@ def nelder_mead(f, x0, step=0.25, budget=2000, stall_iters=20, ftol=1e-10):
     return simplex[best], fvals[best], iterations, evals, converged
 
 
-def _params_from_vector(x: np.ndarray, n_free: int) -> list[GaussianParams]:
-    out = []
-    for k in range(n_free):
-        re, im, r, phi = x[4 * k : 4 * k + 4]
-        out.append(GaussianParams(complex(re, im), float(r), float(phi)))
-    return out
-
-
 def minimize_slack(
     ur_id: str,
     observables,
@@ -199,39 +191,43 @@ def minimize_slack(
     free_slots = list(free_slots)
     if not free_slots:
         raise InputError("no free state slots to optimize")
-    for slot in range(n_slots):
-        if slot not in free_slots and slot not in fixed_states:
-            raise InputError(f"state slot {slot} is neither free nor fixed")
+    if sorted(free_slots + list(fixed_states)) != list(range(n_slots)):
+        raise InputError(
+            f"free slots {free_slots} and fixed slots {sorted(fixed_states)} must number "
+            f"the {n_slots} state slots 0..{n_slots - 1} once each"
+        )
 
-    def build_states(params: list[GaussianParams]):
-        states = [None] * n_slots
-        for slot, st in fixed_states.items():
-            states[slot] = st
-        for slot, par in zip(free_slots, params):
-            states[slot] = squeezed_state(par.alpha, par.r, par.phi, dim)
-        return states
+    template = [fixed_states.get(slot) for slot in range(n_slots)]
 
-    def clip_to_box(x: np.ndarray) -> tuple[np.ndarray, float]:
+    def unpack(x: np.ndarray) -> tuple[list[tuple[complex, float, float]], float]:
+        """(alpha, r, phi) per free slot, clipped to the truncation-safe box,
+        and the quadratic penalty for leaving it."""
         penalty = 0.0
-        clipped = x.copy()
+        slots = []
+        values = x.tolist()
         for k in range(len(free_slots)):
-            re, im, r, _ = x[4 * k : 4 * k + 4]
+            re, im, r, phi = values[4 * k : 4 * k + 4]
             amag = math.hypot(re, im)
             if amag > alpha_max:
                 penalty += 1e3 * (amag - alpha_max) ** 2
                 f = alpha_max / amag
-                clipped[4 * k] *= f
-                clipped[4 * k + 1] *= f
+                re, im = re * f, im * f
             if abs(r) > r_max:
                 penalty += 1e3 * (abs(r) - r_max) ** 2
-                clipped[4 * k + 2] = math.copysign(r_max, r)
-        return clipped, penalty
+                r = math.copysign(r_max, r)
+            slots.append((complex(re, im), r, phi))
+        return slots, penalty
+
+    def build_states(slots):
+        states = list(template)
+        for slot, (alpha, r, phi) in zip(free_slots, slots):
+            states[slot] = squeezed_state(alpha, r, phi, dim)
+        return states
 
     def objective(x: np.ndarray) -> float:
-        clipped, penalty = clip_to_box(x)
+        slots, penalty = unpack(x)
         try:
-            states = build_states(_params_from_vector(clipped, len(free_slots)))
-            report = evaluate_ur(ur_id, observables, states, **extras)
+            report = evaluate_ur(ur_id, observables, build_states(slots), **extras)
         except TruncationError:
             return 1e6 + penalty
         return report.slack + penalty
@@ -257,12 +253,11 @@ def minimize_slack(
         if best is None or fb < best[1]:
             best = (xb, fb, iters, evals, conv)
     xb, _, iters, evals, conv = best
-    clipped, _ = clip_to_box(xb)
-    params = _params_from_vector(clipped, len(free_slots))
-    report = evaluate_ur(ur_id, observables, build_states(params), **extras)
+    slots, _ = unpack(xb)
+    report = evaluate_ur(ur_id, observables, build_states(slots), **extras)
     return MinimizationResult(
         ur_id=ur_id,
-        slots=tuple(params),
+        slots=tuple(GaussianParams(*slot) for slot in slots),
         slack=report.slack,
         tol=report.tol,
         iterations=iters,
@@ -419,7 +414,7 @@ def saturation_transfer_audit(
         key = id(state)
         if key not in cache:
             ms = moment_set((x, y), state)
-            comm = _mean_commutator(x, y, state)
+            comm = ms.comm(0, 1)
             sur = ms.sigma[0, 0] * ms.sigma[1, 1] - ms.sigma[0, 1] ** 2 - abs(comm) ** 2 / 4
             cache[key] = (ms, comm, float(sur))
         return cache[key]

@@ -125,15 +125,6 @@ def _report(ur_id, n, m, lhs, rhs, digest) -> URReport:
     )
 
 
-def _mean_commutator(x: Observable, y: Observable, state: QuantumState) -> complex:
-    """Complex expectation <[X, Y]> (purely imaginary up to roundoff)."""
-    if isinstance(state, PureState):
-        z = np.vdot(x.matrix @ state.amplitudes, y.matrix @ state.amplitudes)
-        return z - np.conj(z)
-    rho = state.matrix
-    return complex(np.trace(rho @ (x.matrix @ y.matrix - y.matrix @ x.matrix)))
-
-
 def _real_audited(z: complex, what: str) -> float:
     if abs(z.imag) > 1e-10 * max(1.0, abs(z)):
         raise NumericError(f"imaginary residue {z.imag:.3e} in {what}")
@@ -154,7 +145,7 @@ def heisenberg(x: Observable, y: Observable, state: QuantumState) -> URReport:
     """ΔX²ΔY² >= |<[X,Y]>|²/4."""
     ms = moment_set((x, y), state)
     lhs = ms.sigma[0, 0] * ms.sigma[1, 1]
-    rhs = abs(_mean_commutator(x, y, state)) ** 2 / 4
+    rhs = abs(ms.comm(0, 1)) ** 2 / 4
     return _report("heisenberg", 2, 1, lhs, rhs, _digest("heisenberg", (x, y), (state,)))
 
 
@@ -162,7 +153,7 @@ def schrodinger(x: Observable, y: Observable, state: QuantumState) -> URReport:
     """ΔX²ΔY² − (ΔXY)² >= |<[X,Y]>|²/4, the two-observable Schwartz bound."""
     ms = moment_set((x, y), state)
     lhs = ms.sigma[0, 0] * ms.sigma[1, 1] - ms.sigma[0, 1] ** 2
-    rhs = abs(_mean_commutator(x, y, state)) ** 2 / 4
+    rhs = abs(ms.comm(0, 1)) ** 2 / 4
     return _report("schrodinger", 2, 1, lhs, rhs, _digest("schrodinger", (x, y), (state,)))
 
 
@@ -193,7 +184,7 @@ def type_2_1(x: Observable, y: Observable, state: QuantumState) -> URReport:
     """<X²><Y²> >= (ΔXY + <X><Y>)² + |<[X,Y]>|²/4, the uncentered pair check."""
     ms = moment_set((x, y), state)
     lhs = (ms.sigma[0, 0] + ms.means[0] ** 2) * (ms.sigma[1, 1] + ms.means[1] ** 2)
-    comm = abs(_mean_commutator(x, y, state)) ** 2 / 4
+    comm = abs(ms.comm(0, 1)) ** 2 / 4
     rhs = (ms.sigma[0, 1] + ms.means[0] * ms.means[1]) ** 2 + comm
     return _report("type_2_1", 2, 1, lhs, rhs, _digest("type_2_1", (x, y), (state,)))
 
@@ -207,7 +198,7 @@ def type_3_1(x: Observable, y: Observable, z: Observable, psi: PureState) -> URR
     _require_pure((psi,))
     ms = moment_set((x, y, z), psi)
     lhs = ms.sigma[0, 0] * (ms.sigma[1, 1] + ms.sigma[2, 2])
-    prod = _mean_commutator(x, z, psi) * _mean_commutator(y, x, psi)
+    prod = ms.comm(0, 2) * ms.comm(1, 0)
     rhs = 2 * ms.sigma[0, 1] * ms.sigma[0, 2] + _real_audited(prod, "(3,1) commutator product") / 2
     return _report("type_3_1", 3, 1, lhs, rhs, _digest("type_3_1", (x, y, z), (psi,)))
 
@@ -257,8 +248,7 @@ def _cross_state_pair(family: str, observables, psi1, psi2, variant: str) -> URR
     ms2 = moment_set((y,), psi2)
     vx1, my2 = ms1.sigma[0, 0], ms2.means[0]
     mx1, vy2 = ms1.means[0], ms2.sigma[0, 0]
-    x1 = x.matrix @ psi1.amplitudes
-    y2 = y.matrix @ psi2.amplitudes
+    x1, y2 = ms1.rows[0], ms2.rows[0]
     if variant == "a":
         chi1 = x1 - mx1 * psi1.amplitudes
         chi2 = y2 - my2 * psi2.amplitudes
@@ -304,7 +294,7 @@ def extended_schrodinger(
 def _pairwise_extended(ur_id: str, x: Observable, y: Observable, states, extras=()) -> URReport:
     """Body of the extended Schrödinger and (2,m) checks."""
     msets = [moment_set((x, y), s) for s in states]
-    comms = [_mean_commutator(x, y, s) for s in states]
+    comms = [ms.comm(0, 1) for ms in msets]
     lhs, rhs = _pairwise_extended_sides(msets, comms)
     digest = _digest(ur_id, (x, y), tuple(states), extras)
     return _report(ur_id, 2, len(states), lhs, rhs, digest)
@@ -326,7 +316,7 @@ def entangled_heisenberg(
     lhs = 0.5 * (
         ms1.sigma[0, 0] * ms2.sigma[1, 1] + ms2.sigma[0, 0] * ms1.sigma[1, 1]
     )
-    rhs = abs(_mean_commutator(x, y, psi1) * _mean_commutator(x, y, psi2)) / 4
+    rhs = abs(ms1.comm(0, 1) * ms2.comm(0, 1)) / 4
     digest = _digest("entangled_heisenberg", (x, y), (psi1, psi2))
     return _report("entangled_heisenberg", 2, 2, lhs, rhs, digest)
 

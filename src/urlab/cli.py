@@ -31,6 +31,8 @@ from .ensembles import (
 from .errors import ConfigError, InputError, NumericError
 from .linalg import SLACK_RTOL, slack_scale
 from .model import (
+    MAX_DIM,
+    MIN_DIM,
     Observable,
     fock_operators,
     fock_state,
@@ -112,14 +114,35 @@ def _parse_matrix(rows, what: str) -> np.ndarray:
 def _parse_dims(value) -> list[int]:
     if not isinstance(value, list):
         raise ConfigError(f"dims must be a list of integers or a {{min, max}} object, got {value!r}")
-    return [_parse_int(d, "dims") for d in value]
+    dims = [_parse_int(d, "dims") for d in value]
+    if not dims or not all(MIN_DIM <= d <= MAX_DIM for d in dims):
+        raise ConfigError(
+            f"dims must be one or more dimensions in [{MIN_DIM}, {MAX_DIM}], got {value!r}"
+        )
+    return dims
 
 
-def _parse_slot(key: str) -> int:
-    """A fixed_states key: JSON object keys are strings, so "0" names slot 0."""
-    if not (key.isascii() and key.isdigit()):
-        raise ConfigError(f"fixed_states keys must be slot numbers, got {key!r}")
-    return int(key)
+def _parse_list(config: dict, key: str) -> list:
+    value = config.get(key, [])
+    if not isinstance(value, list):
+        raise ConfigError(f"{key!r} must be a list, got {value!r}")
+    return value
+
+
+def _parse_slot(slot, what: str) -> int:
+    """A state slot number: a non-negative integer or its decimal digits (JSON
+    object keys are strings, so the fixed_states key "0" names slot 0)."""
+    if isinstance(slot, str) and slot.isascii() and slot.isdigit():
+        return int(slot)
+    if isinstance(slot, int) and not isinstance(slot, bool) and slot >= 0:
+        return slot
+    raise ConfigError(f"{what} must be slot numbers, got {slot!r}")
+
+
+def _parse_ur_id(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a check id string, got {value!r}")
+    return value
 
 
 def _parse_extras(extras, what: str) -> dict:
@@ -134,6 +157,8 @@ def _parse_extras(extras, what: str) -> dict:
     for key in _INT_EXTRAS:
         if key in out:
             out[key] = _parse_int(out[key], f"{what} {key!r}")
+    if "dim" in out and not MIN_DIM <= out["dim"] <= MAX_DIM:
+        raise ConfigError(f"{what} 'dim' must lie in [{MIN_DIM}, {MAX_DIM}], got {out['dim']!r}")
     h_choice = out.get("h_choice", H_CHOICES[0])
     if h_choice not in H_CHOICES:
         raise ConfigError(f"{what} 'h_choice' must be one of {H_CHOICES}, got {h_choice!r}")
@@ -199,8 +224,9 @@ def _ur_entries(config) -> list[tuple[str, dict]]:
         if isinstance(entry, str):
             out.append((entry, {}))
         elif isinstance(entry, dict) and "id" in entry:
+            ur_id = _parse_ur_id(entry["id"], "a UR entry's 'id'")
             extras = {k: v for k, v in entry.items() if k != "id"}
-            out.append((entry["id"], _parse_extras(extras, f"{entry['id']!r} entry")))
+            out.append((ur_id, _parse_extras(extras, f"{ur_id!r} entry")))
         else:
             raise ConfigError(f"bad UR entry {entry!r}")
     for ur_id, _ in out:
@@ -231,7 +257,10 @@ def _slack_rtol(config) -> float:
     tol = config.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigError("'tolerances' must be an object")
-    return _parse_real(tol.get("slack_rtol", SLACK_RTOL), "slack_rtol")
+    rtol = _parse_real(tol.get("slack_rtol", SLACK_RTOL), "slack_rtol")
+    if rtol < 0:
+        raise ConfigError(f"slack_rtol must be >= 0, got {rtol!r}")
+    return rtol
 
 
 def _violated(report: URReport, rtol: float) -> bool:
@@ -250,8 +279,8 @@ def _report_row(report: URReport, rtol: float) -> dict:
 
 def run_check(config: dict, seed: int, dim: int) -> tuple[dict, int]:
     rtol = _slack_rtol(config)
-    observables = [build_observable(s, dim) for s in config.get("observables", [])]
-    states = [build_state(s, dim) for s in config.get("states", [])]
+    observables = [build_observable(s, dim) for s in _parse_list(config, "observables")]
+    states = [build_state(s, dim) for s in _parse_list(config, "states")]
     if not observables or not states:
         raise ConfigError("check needs explicit 'observables' and 'states'")
     rows = []
@@ -277,11 +306,12 @@ def run_scan(config: dict, seed: int, dim: int) -> tuple[dict, int]:
     dims_cfg = config.get("dims", {"min": 2, "max": 8})
     if isinstance(dims_cfg, dict):
         lo = _parse_int(dims_cfg.get("min", 2), "dims.min")
-        dims = list(range(lo, _parse_int(dims_cfg.get("max", 8), "dims.max") + 1))
+        hi = _parse_int(dims_cfg.get("max", 8), "dims.max")
+        if not MIN_DIM <= lo <= hi <= MAX_DIM:
+            raise ConfigError(f"bad dims {dims_cfg!r}")
+        dims = list(range(lo, hi + 1))
     else:
         dims = _parse_dims(dims_cfg)
-    if not dims or min(dims) < 2:
-        raise ConfigError(f"bad dims {dims_cfg!r}")
     pinned = _parse_extras(config.get("pinned", {}), "pinned")
     rows = []
     n_viol = 0
@@ -329,14 +359,21 @@ def run_minimize(config: dict, seed: int, dim: int) -> tuple[dict, int]:
     ur_id = config.get("ur")
     if not isinstance(ur_id, str):
         raise ConfigError("minimize needs a 'ur' id")
-    observables = [build_observable(s, dim) for s in config.get("observables", [])]
+    observables = [build_observable(s, dim) for s in _parse_list(config, "observables")]
     if not observables:
         raise ConfigError("minimize needs 'observables'")
     fixed_cfg = config.get("fixed_states") or {}
     if not isinstance(fixed_cfg, dict):
         raise ConfigError("'fixed_states' must be an object mapping slot numbers to states")
-    fixed = {_parse_slot(slot): build_state(spec, dim) for slot, spec in fixed_cfg.items()}
+    fixed = {
+        _parse_slot(slot, "fixed_states keys"): build_state(spec, dim)
+        for slot, spec in fixed_cfg.items()
+    }
     free = config.get("free_slots")
+    if free is not None:
+        if not isinstance(free, list):
+            raise ConfigError(f"'free_slots' must be a list of slot numbers, got {free!r}")
+        free = [_parse_slot(slot, "free_slots entries") for slot in free]
     result = minimize_slack(
         ur_id,
         observables,
@@ -377,7 +414,7 @@ def _compare_instances(config: dict, seed: int, dim: int):
             points=_parse_int(spec.get("points", 5), "points"),
         )
     if kind == "random":
-        ur = spec.get("ur") or config.get("ur_a")
+        ur = _parse_ur_id(spec.get("ur") or config.get("ur_a"), "instances 'ur'")
         dims = _parse_dims(spec.get("dims", [2, 3, 4, 6, 8]))
         size = _parse_int(spec.get("size", 200), "size")
         return random_instances(ur, size, dims, _parse_int(spec.get("seed", seed), "seed"))
@@ -388,6 +425,7 @@ def run_compare(config: dict, seed: int, dim: int) -> tuple[dict, int]:
     ur_a, ur_b = config.get("ur_a"), config.get("ur_b")
     if not ur_a or not ur_b:
         raise ConfigError("compare needs 'ur_a' and 'ur_b'")
+    ur_a, ur_b = _parse_ur_id(ur_a, "'ur_a'"), _parse_ur_id(ur_b, "'ur_b'")
     stats = compare_precision(
         ur_a,
         ur_b,

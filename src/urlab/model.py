@@ -251,8 +251,9 @@ def _ideal_tail(alpha: complex, r: float, phi: float, n: int, stop: float = -mat
 
 
 @lru_cache(maxsize=16)
-def _generator_eigs(n: int, step: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensystem (w, V) of the real tridiagonal generator T_step in dimension n.
+def _generator_eigs(n: int, step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigensystem (w, V) of the real tridiagonal generator T_step in dimension
+    n, and the level index 0, 1, ... of its basis.
 
     T_1 = a + a† on all n levels carries the displacement. T_2 = a² + a†²
     restricted to the even levels 0, 2, 4, ... (off-diagonal
@@ -261,9 +262,10 @@ def _generator_eigs(n: int, step: int) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(1.0, n if step == 1 else (n + 1) // 2)
     off = np.sqrt(k) if step == 1 else np.sqrt((2 * k - 1) * (2 * k))
     w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return w, v
+    levels = np.arange(w.size)
+    for a in (w, v, levels):
+        a.setflags(write=False)
+    return w, v, levels
 
 
 def _real_matvec(m: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -271,12 +273,16 @@ def _real_matvec(m: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (m @ z.view(float).reshape(-1, 2)).view(complex).ravel()
 
 
-def _evolve(n: int, step: int, s: float, theta: float, vec: np.ndarray) -> np.ndarray:
-    """exp(-i s P T_step P†) @ vec with P = diag(e^{i k theta})."""
-    w, v = _generator_eigs(n, step)
-    ph = np.exp(1j * theta * np.arange(w.size))
-    y = _real_matvec(v.T, ph.conj() * vec) * np.exp(-1j * s * w)
-    return ph * _real_matvec(v, y)
+def _evolve(n: int, step: int, s: float, theta: float, vec: np.ndarray | None) -> np.ndarray:
+    """exp(-i s P T_step P†) @ vec with P = diag(e^{i k theta}).
+
+    ``vec`` None stands for the first basis vector; its coordinates in the
+    eigenbasis are row 0 of V, so the first product is skipped.
+    """
+    w, v, levels = _generator_eigs(n, step)
+    ph = np.exp(1j * theta * levels)
+    y = v[0] if vec is None else _real_matvec(v.T, ph.conj() * vec)
+    return ph * _real_matvec(v, y * np.exp(-1j * s * w))
 
 
 def squeezed_state(
@@ -293,9 +299,11 @@ def squeezed_state(
     renormalized. Each generator is, up to a diagonal phase, a fixed real
     tridiagonal matrix times |alpha| or r/2: a + a† for the displacement, and
     a² + a†² on the even levels for the squeeze, which only ever acts on the
-    vacuum. Their eigensystems are cached per dimension, so a state costs two
-    O(N²) matrix-vector products. For phi = 0, alpha = 0 the quadrature
-    variances are Δq² = e^{-2r}/2 and Δp² = e^{2r}/2 up to truncation error.
+    vacuum. Their eigensystems are cached per dimension, so a state costs
+    three O(N²) real matrix-vector products (the vacuum's eigenbasis
+    coordinates are row 0 of V, so the squeeze needs one). For phi = 0,
+    alpha = 0 the quadrature variances are Δq² = e^{-2r}/2 and Δp² = e^{2r}/2
+    up to truncation error.
 
     Before building, the weight of the ideal (untruncated) state on levels
     >= n-2 is audited against `tail_tol`; a state above it is rejected with
@@ -320,9 +328,7 @@ def squeezed_state(
     vec = np.zeros(n, dtype=complex)
     vec[0] = 1.0
     if r != 0:
-        even = np.zeros((n + 1) // 2, dtype=complex)
-        even[0] = 1.0
-        vec[0::2] = _evolve(n, 2, 0.5 * r, phi - 0.5 * math.pi, even)
+        vec[0::2] = _evolve(n, 2, 0.5 * r, phi - 0.5 * math.pi, None)
     if alpha != 0:
         vec = _evolve(n, 1, abs(alpha), cmath.phase(alpha) + 0.5 * math.pi, vec)
     return PureState(vec / np.linalg.norm(vec))

@@ -25,15 +25,27 @@ class MomentSet:
     means[i]    = <X_i>
     sigma[i, j] = <X_i X_j + X_j X_i>/2 - <X_i><X_j>   (uncertainty matrix)
     cmat[i, j]  = -(i/2) <[X_i, X_j]>                  (mean-commutator matrix)
+    m2[i, j]    = <X_i X_j>                            (raw second moments)
+    rows[i]     = X_i|psi> for a pure state; None for a density matrix
     """
 
     means: np.ndarray
     sigma: np.ndarray
     cmat: np.ndarray
+    m2: np.ndarray
+    rows: np.ndarray | None
 
     @property
     def n(self) -> int:
         return self.means.size
+
+    def comm(self, i: int, j: int) -> complex:
+        """<[X_i, X_j]>, imaginary up to roundoff: z - z* with z = <X_i psi|X_j psi>
+        for a pure state, M_ij - M_ji for a density matrix."""
+        if self.rows is None:
+            return self.m2[i, j] - self.m2[j, i]
+        z = np.vdot(self.rows[i], self.rows[j])
+        return z - z.conjugate()
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,9 +64,9 @@ class GramUR:
 
 
 def _audit_real(values: np.ndarray, what: str) -> np.ndarray:
-    scale = max(1.0, float(np.abs(values).max(initial=0.0)))
     resid = float(np.abs(values.imag).max(initial=0.0))
-    if resid > RESIDUE_TOL * scale:
+    # the scale is >= 1, so it is only needed for a residue above RESIDUE_TOL
+    if resid > RESIDUE_TOL and resid > RESIDUE_TOL * max(1.0, float(np.abs(values).max())):
         raise NumericError(f"imaginary residue {resid:.3e} in {what}")
     return values.real
 
@@ -75,57 +87,45 @@ def _observable_matrices(observables, state: QuantumState) -> list[np.ndarray]:
     return mats
 
 
-def second_moment_matrix(observables, state: QuantumState) -> np.ndarray:
-    """Matrix of raw second moments M_jk = <X_j X_k> in the given state."""
-    mats = _observable_matrices(observables, state)
+def _raw_moments(mats: list[np.ndarray], state: QuantumState):
+    """Rows X_i|psi> (None for a density matrix), complex means and the raw
+    second moments M_jk = <X_j X_k>: the Gram matrix of the rows for a pure
+    state, Tr(rho X_j X_k) from the products rho X_i for a density matrix."""
     if isinstance(state, PureState):
-        return _pure_second_moments(mats, state.amplitudes)[1]
-    return _mixed_second_moments(mats, state.matrix)[1]
+        psi = state.amplitudes
+        rows = np.array([m @ psi for m in mats])
+        return rows, np.array([np.vdot(psi, v) for v in rows]), rows.conj() @ rows.T
+    left = [state.matrix @ m for m in mats]
+    m2 = np.array([[np.sum(lj.T * mk) for mk in mats] for lj in left])
+    return None, np.array([np.trace(lj) for lj in left]), m2
 
 
-def _pure_second_moments(mats: list[np.ndarray], psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stack of X_i|psi> and its Gram matrix M_jk = <X_j X_k>."""
-    stack = np.array([m @ psi for m in mats])
-    return stack, stack.conj() @ stack.T
-
-
-def _mixed_second_moments(mats: list[np.ndarray], rho: np.ndarray) -> tuple[list, np.ndarray]:
-    """The products rho X_i and M_jk = Tr(rho X_j X_k)."""
-    n = len(mats)
-    left = [rho @ m for m in mats]
-    out = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        lj = left[j].T
-        for k in range(n):
-            out[j, k] = np.sum(lj * mats[k])
-    return left, out
+def second_moment_matrix(observables, state: QuantumState) -> np.ndarray:
+    """Matrix of raw second moments M_jk = <X_j X_k> in the given state,
+    without the audits of moment_set."""
+    return _raw_moments(_observable_matrices(observables, state), state)[2]
 
 
 def moment_set(observables, state: QuantumState) -> MomentSet:
-    """Means, uncertainty matrix and mean-commutator matrix of the tuple.
+    """Means, uncertainty matrix and mean-commutator matrix of the tuple, with
+    the raw second moments and, for a pure state, the rows X_i|psi> they come
+    from, so that ``comm`` reads mean commutators without new products.
 
     Works for pure states (via <psi|..|psi>) and density matrices (via
     Tr(rho ..)). Imaginary residues beyond roundoff raise NumericError.
     """
     mats = _observable_matrices(observables, state)
-    if isinstance(state, PureState):
-        psi = state.amplitudes
-        stack, m2 = _pure_second_moments(mats, psi)
-        means_c = np.array([np.vdot(psi, v) for v in stack])
-    else:
-        left, m2 = _mixed_second_moments(mats, state.matrix)
-        means_c = np.array([np.trace(lm) for lm in left])
+    rows, means_c, m2 = _raw_moments(mats, state)
     means = _audit_real(means_c, "observable means")
+    # both terms are exactly symmetric, so sigma needs no symmetrizing pass
     sym = (m2 + m2.T) / 2
     sigma = _audit_real(sym, "uncertainty matrix") - np.outer(means, means)
-    sigma = (sigma + sigma.T) / 2
     cmat = _audit_real(-0.5j * (m2 - m2.T), "mean-commutator matrix")
     cmat = (cmat - cmat.T) / 2
-    var_scale = max(1.0, float(np.abs(sigma).max()))
     min_var = sigma.diagonal().min()
-    if float(min_var) < VARIANCE_FLOOR * var_scale:
+    if min_var < VARIANCE_FLOOR and min_var < VARIANCE_FLOOR * max(1.0, np.abs(sigma).max()):
         raise NumericError(f"negative variance {min_var:.3e}")
-    return MomentSet(means=means, sigma=sigma, cmat=cmat)
+    return MomentSet(means=means, sigma=sigma, cmat=cmat, m2=m2, rows=rows)
 
 
 def robertson_matrix(observables, state: QuantumState) -> GramUR:

@@ -546,3 +546,142 @@ def test_stdout_report_is_utf8_whatever_the_stdout_encoding(tmp_path):
     assert main(["check", "--config", str(cfg), "--out", str(out)]) == 0
     assert proc.stdout == out.read_bytes()
     assert "é".encode("utf-8") in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("check", dict(CHECK_VACUUM, urs=[{"id": ["heisenberg"]}])),
+        ("check", dict(CHECK_VACUUM, urs=[{"id": 3}])),
+        ("compare", dict(COMPARE_RANDOM, ur_a=["type_1_2a"])),
+        ("compare", dict(COMPARE_RANDOM, ur_b={"id": "type_1_2b"})),
+        ("compare", dict(COMPARE_RANDOM, instances=dict(COMPARE_RANDOM["instances"], ur=["x"]))),
+    ],
+)
+def test_check_ids_must_be_strings_exit2(tmp_path, command, config):
+    assert run(tmp_path, command, config)[0] == 2
+
+
+def test_negative_slack_rtol_exit2(tmp_path):
+    for rtol in (-1, -1e-12):
+        config = dict(CHECK_VACUUM, urs=["heisenberg"], tolerances={"slack_rtol": rtol})
+        assert run(tmp_path, "check", config)[0] == 2, rtol
+    config = dict(CHECK_VACUUM, urs=["heisenberg"], tolerances={"slack_rtol": 0})
+    assert run(tmp_path, "check", config)[0] in (0, 1)
+
+
+def test_free_slots_parsed_at_the_boundary(tmp_path):
+    assert run(tmp_path, "minimize", dict(MINIMIZE_TINY, free_slots=[1]))[0] == 0
+    for bad in (5, "1", {"1": 1}, [1.5], [True], [None], [-1], [[1]], ["x"]):
+        assert run(tmp_path, "minimize", dict(MINIMIZE_TINY, free_slots=bad))[0] == 2, bad
+    # a slot number that does not name a slot of the check is an input error
+    for bad in ([1, 1], [2], [0, 1]):
+        assert run(tmp_path, "minimize", dict(MINIMIZE_TINY, free_slots=bad))[0] == 3, bad
+
+
+# Seeded config fuzz: every node of a small valid config of each command is
+# replaced in turn by each of FUZZ_VALUES, or deleted, and then random pairs
+# of such edits are applied together. Whatever the config, the command exits
+# 0, 2, 3 or 4, or 1 with a violated row, and never raises.
+FUZZ_VALUES = (
+    "x", "", -1, 0, 2, 2.5, True, None, float("nan"), [], [1], ["heisenberg"], {},
+    {"builder": "fock_q"}, [[1, 0], [0]],
+)
+FUZZ_CONFIGS = {
+    "check": dict(
+        CHECK_VACUUM, hilbert_dim=8, urs=["heisenberg", {"id": "characteristic", "r": 1}],
+        tolerances={"slack_rtol": 1e-8},
+    ),
+    "scan": dict(SCAN_TINY, pinned={"dim": 3}, tolerances={"slack_rtol": 1e-8}),
+    "minimize": dict(MINIMIZE_TINY, free_slots=[1], budget=10),
+    "compare": dict(COMPARE_RANDOM, instances=dict(COMPARE_RANDOM["instances"], ur="type_1_2a")),
+    "divergence": {
+        "observable": {"builder": "fock_q"},
+        "state_a": {"builder": "fock_n", "k": 0},
+        "state_b": {"builder": "coherent", "alpha": [0.5, 0.0]},
+        "variant": "a",
+        "hilbert_dim": 16,
+    },
+}
+_DELETE = object()
+
+
+def _fuzz_paths(node, path=()):
+    """Paths to every node below the top level of a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _fuzz_paths(child, path + (key,))
+
+
+def _fuzz_edit(config, edits):
+    config = json.loads(json.dumps(config))
+    for path, value in edits:
+        try:
+            node = config
+            for key in path[:-1]:
+                node = node[key]
+            if value is _DELETE:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = json.loads(json.dumps(value))
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier edit removed or replaced this node
+    return config
+
+
+def _fuzz_verdict(tmp_path, command, config):
+    """(exit code, violated row) for one run, or a description of what broke
+    the exit-code contract."""
+    out = tmp_path / "report.json"
+    out.unlink(missing_ok=True)
+    cfg = write_config(tmp_path, "config.json", config)
+    try:
+        code = main([command, "--config", cfg, "--out", str(out)])
+    except Exception as exc:  # a traceback: the contract is broken
+        return f"raised {type(exc).__name__}: {exc}"
+    if code not in (0, 1, 2, 3, 4):
+        return f"exit {code}"
+    if code != 1:
+        return code
+    doc = json.loads(out.read_text())
+    summary = doc["summary"]
+    if "all_hold" in summary:
+        violated = summary["all_hold"] is False
+    else:
+        row = doc["results"][0]
+        violated = row["slack"] < -row["tol"]
+    return 1 if violated else "exit 1 without a violated row"
+
+
+def test_config_fuzz_exit_codes(tmp_path, capsys):
+    rng = np.random.default_rng(20260)
+    failures = []
+    reached = set()
+    for command, base in FUZZ_CONFIGS.items():
+        assert _fuzz_verdict(tmp_path, command, base) == 0, command
+        single = [
+            (path, value) for path in _fuzz_paths(base) for value in FUZZ_VALUES + (_DELETE,)
+        ]
+        pairs = [
+            [single[i] for i in rng.choice(len(single), size=2, replace=False)]
+            for _ in range(40)
+        ]
+        for edits in [[e] for e in single] + pairs:
+            verdict = _fuzz_verdict(tmp_path, command, _fuzz_edit(base, edits))
+            if not isinstance(verdict, int):
+                failures.append((command, edits, verdict))
+            elif verdict == 2 and len(edits) == 1:
+                reached.add((command, edits[0][0], type(edits[0][1]).__name__))
+    assert not failures, failures[:5]
+    assert "Traceback" not in capsys.readouterr().err
+    # the fuzz reaches the fields that once escaped as exit 1
+    assert {
+        ("check", ("urs", 1, "id"), "list"),
+        ("check", ("tolerances", "slack_rtol"), "int"),
+        ("compare", ("ur_a",), "list"),
+        ("compare", ("instances", "ur"), "list"),
+        ("minimize", ("free_slots",), "int"),
+        ("minimize", ("free_slots", 0), "float"),
+    } <= reached

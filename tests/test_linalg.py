@@ -9,15 +9,20 @@ from numpy.testing import assert_allclose
 
 from urlab.errors import InputError
 from urlab.linalg import (
+    HERM_RTOL,
+    TOL_PSD,
     char_coeffs,
     clamp_psd,
     entangled_char_gap,
     gram,
+    hermiticity_defect,
     is_psd,
     min_eigenvalue,
     split,
     superadditive_char_gap,
 )
+from urlab.model import DensityMatrix, Observable, PureState
+from urlab.moments import RESIDUE_TOL, moment_set
 
 
 def brute_char_coeffs(m):
@@ -304,3 +309,35 @@ def test_entangled_gap_similarity_invariance():
         a = entangled_char_gap(hs, r)
         b = entangled_char_gap(hs_rot, r)
         assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
+
+
+# ---------------------------------------------------------------------------
+# audits at the largest admitted dimensions (MAX_DIM = 512)
+
+
+@pytest.mark.parametrize("d", [256, 512])
+def test_audits_keep_their_margin_at_the_largest_dimensions(d):
+    """Matrices that are Hermitian, psd or real only up to rounding stay at
+    least 1e3 inside the Hermiticity, psd and realness tolerances; about
+    1e-15 relative was seen at d = 512, against tolerances of 1e-10."""
+    rng = np.random.default_rng(d)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    h = (q * rng.standard_normal(d)) @ q.conj().T
+    assert hermiticity_defect(h) <= 1e-3 * HERM_RTOL * np.abs(h).max()
+    low = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
+    rho = low @ low.conj().T
+    rho /= np.trace(rho).real  # rank 3: d - 3 eigenvalues are zero up to rounding
+    w = np.linalg.eigvalsh(rho)
+    assert w[0] >= -1e-3 * TOL_PSD * w[-1]
+    obs = [Observable("H", h), Observable("G", rand_herm(rng, d))]
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    for state in (PureState(v / np.linalg.norm(v)), DensityMatrix(rho)):
+        ms = moment_set(obs, state)
+        if isinstance(state, PureState):
+            means = np.array([np.vdot(state.amplitudes, o.matrix @ state.amplitudes) for o in obs])
+        else:
+            means = np.array([np.trace(rho @ o.matrix) for o in obs])
+        for values in (means, (ms.m2 + ms.m2.T) / 2, -0.5j * (ms.m2 - ms.m2.T)):
+            scale = max(1.0, np.abs(values).max())
+            assert np.abs(values.imag).max() <= 1e-3 * RESIDUE_TOL * scale
+

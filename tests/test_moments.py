@@ -1,5 +1,7 @@
 """Moment sets, Robertson matrix, Gram constructions, transformation laws."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -20,6 +22,7 @@ from urlab.moments import (
     gram_centered,
     gram_raw,
     moment_set,
+    second_moment_matrix,
     robertson_matrix,
     transform_observables,
     transform_states,
@@ -301,3 +304,64 @@ def test_transform_states_singular_warns():
     states = [rand_pure(rng, 4) for _ in range(2)]
     with pytest.warns(UserWarning, match="singular"):
         transform_states(np.zeros((2, 2)), states)
+
+
+# ---------------------------------------------------------------------------
+# moment sets against per-state formulas
+
+
+def rand_density(rng, d, rank=None):
+    g = rng.standard_normal((d, rank or d)) + 1j * rng.standard_normal((d, rank or d))
+    rho = g @ g.conj().T
+    return DensityMatrix(rho / np.trace(rho).real)
+
+
+def per_state_moments(obs, psi):
+    """Means, sigma, C and the commutators <[X_i, X_j]> of one pure state from
+    the rows X_i|psi>, one formula per quantity."""
+    rows = np.array([o.matrix @ psi for o in obs])
+    m2 = rows.conj() @ rows.T
+    means = np.array([np.vdot(psi, r) for r in rows]).real
+    sigma = ((m2 + m2.T) / 2).real - np.outer(means, means)
+    sigma = (sigma + sigma.T) / 2
+    cmat = (-0.5j * (m2 - m2.T)).real
+    cmat = (cmat - cmat.T) / 2
+    comm = {}
+    for i, j in itertools.permutations(range(len(obs)), 2):
+        z = np.vdot(rows[i], rows[j])
+        comm[i, j] = z - np.conj(z)
+    return means, sigma, cmat, comm
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 12, 64])
+def test_moment_set_pure_states_match_per_state_formulas(d, n):
+    """Byte-equal to the formulas read from the rows X_i|psi>, at the scan's
+    dims 2-12 and at dim 64, where the minimiser runs."""
+    rng = np.random.default_rng(100 * d + n)
+    for obs in ((fock_operators(d) * 2)[:n], rand_observables(rng, n, d)):
+        for _ in range(5):
+            st = rand_pure(rng, d)
+            ms = moment_set(obs, st)
+            means, sigma, cmat, comm = per_state_moments(obs, st.amplitudes)
+            assert ms.means.tobytes() == means.tobytes()
+            assert ms.sigma.tobytes() == sigma.tobytes()
+            assert ms.cmat.tobytes() == cmat.tobytes()
+            assert all(ms.comm(i, j) == c for (i, j), c in comm.items())
+            assert ms.m2.tobytes() == second_moment_matrix(obs, st).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 17, 64, 256])
+def test_moment_set_mixed_commutators_match_trace_formula(d):
+    rng = np.random.default_rng(d)
+    obs = rand_observables(rng, 3, d)
+    for rho in (rand_density(rng, d), rand_density(rng, d, rank=2)):
+        ms = moment_set(obs, rho)
+        for i, j in itertools.permutations(range(3), 2):
+            x, y = obs[i].matrix, obs[j].matrix
+            want = np.trace(rho.matrix @ (x @ y - y @ x))
+            assert abs(ms.comm(i, j) - want) <= 1e-12 * abs(want)
+            assert abs(ms.cmat[i, j] - (-0.5j * want).real) <= 1e-12 * abs(want)
+        assert ms.rows is None
+        assert ms.m2.tobytes() == second_moment_matrix(obs, rho).tobytes()
+
