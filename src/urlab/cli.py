@@ -159,6 +159,9 @@ def _parse_extras(extras, what: str) -> dict:
             out[key] = _parse_int(out[key], f"{what} {key!r}")
     if "dim" in out and not MIN_DIM <= out["dim"] <= MAX_DIM:
         raise ConfigError(f"{what} 'dim' must lie in [{MIN_DIM}, {MAX_DIM}], got {out['dim']!r}")
+    for key in ("n", "m", "r"):
+        if key in out and out[key] < 1:
+            raise ConfigError(f"{what} {key!r} must be at least 1, got {out[key]!r}")
     h_choice = out.get("h_choice", H_CHOICES[0])
     if h_choice not in H_CHOICES:
         raise ConfigError(f"{what} 'h_choice' must be one of {H_CHOICES}, got {h_choice!r}")
@@ -472,6 +475,8 @@ def run_divergence(config: dict, seed: int, dim: int) -> tuple[dict, int]:
     s1 = build_state(sa, dim)
     s2 = build_state(sb, dim)
     variant = config.get("variant", "a")
+    if variant not in ("a", "b"):
+        raise ConfigError(f"divergence 'variant' must be 'a' or 'b', got {variant!r}")
     d_ab = divergence(x, s1, s2, variant)
     d_ba = divergence(x, s2, s1, variant)
     row = {"variant": variant, "d_ab": d_ab, "d_ba": d_ba}

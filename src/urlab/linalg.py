@@ -3,6 +3,8 @@
 Characteristic coefficients of an n x n matrix M are defined through the
 secular equation det(M - x) = sum_r C_r(M) (-x)^(n-r) with C_0 = 1; C_r equals
 the sum of all r x r principal minors of M, so C_1 = tr M and C_n = det M.
+Every C_r is computed as e_r of the spectrum by one recurrence
+(char_coeffs_from_eigs), and every psd verdict is psd_certified.
 All checks in this module are plain finite-dimensional linear algebra in
 double precision. The Hermiticity and psd tolerances below, and the moment
 realness audit, are 1e-10 relative; at the largest admitted dimension, 512,
@@ -11,8 +13,6 @@ about 1e-15 relative, so every admitted dimension keeps a wide margin.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 import numpy as np
 
@@ -98,8 +98,8 @@ def split(h) -> tuple[np.ndarray, np.ndarray]:
 def min_eigenvalue(h) -> float:
     """Smallest eigenvalue of a Hermitian matrix.
 
-    The positive-semidefiniteness verdict used throughout the package is
-    min_eigenvalue(H) >= -TOL_PSD * max(1, ||H||_2).
+    The positive-semidefiniteness verdict used throughout the package,
+    psd_certified, is min_eigenvalue(H) >= -TOL_PSD * max(1, ||H||_2).
     """
     a = require_hermitian(h, "min_eigenvalue input")
     try:
@@ -109,10 +109,14 @@ def min_eigenvalue(h) -> float:
     return float(w[0])
 
 
+def psd_certified(w: np.ndarray) -> bool:
+    """The package's psd certificate on an ascending Hermitian spectrum w."""
+    return w[0] >= -TOL_PSD * max(1.0, abs(w[-1]))
+
+
 def is_psd(h) -> bool:
     a = require_hermitian(h, "is_psd input")
-    w = np.linalg.eigvalsh(a)
-    return w[0] >= -TOL_PSD * max(1.0, abs(w[-1]), abs(w[0]))
+    return psd_certified(np.linalg.eigvalsh(a))
 
 
 def clamp_psd(h) -> np.ndarray:
@@ -128,42 +132,40 @@ def clamp_psd(h) -> np.ndarray:
 def char_coeffs_from_eigs(eigs: np.ndarray) -> np.ndarray:
     """Characteristic coefficients (C_1 .. C_n) as elementary symmetric functions.
 
-    np.poly returns the monic polynomial prod(x - e_k) whose coefficient of
-    x^(n-r) is (-1)^r e_r(eigs).
+    The recurrence e_j += x e_(j-1) over the eigenvalues x adds only nonnegative
+    terms for a psd spectrum, so each e_r is accurate to a small multiple of the
+    unit roundoff relative to itself (Higham, Accuracy and Stability, ch. 4).
     """
     eigs = np.asarray(eigs)
-    n = eigs.size
-    if n == 0:
-        return np.zeros(0)
-    poly = np.poly(eigs)
-    signs = (-1.0) ** np.arange(1, n + 1)
-    return signs * poly[1:]
+    e = np.zeros(eigs.size + 1, dtype=eigs.dtype)
+    e[0] = 1.0
+    for x in eigs:
+        e[1:] += x * e[:-1]
+    return e[1:]
 
 
-def _char_coeffs_minors(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    out = np.zeros(n, dtype=complex)
-    idx = range(n)
-    for r in range(1, n + 1):
-        acc = 0.0 + 0.0j
-        for rows in combinations(idx, r):
-            sub = m[np.ix_(rows, rows)]
-            acc += np.linalg.det(sub)
-        out[r - 1] = acc
-    return out
+def _antisym_coeffs(a: np.ndarray) -> np.ndarray:
+    # iA is Hermitian with spectrum +-w_k (and 0 for odd n), so det(A - x) is a product
+    # of (x^2 + w_k^2): C_2j = e_j(w_k^2) over w_k >= 0, and every odd order is 0.
+    w = np.linalg.eigvalsh(1j * a)
+    n = w.size
+    coeffs = np.zeros(n)
+    coeffs[1::2] = char_coeffs_from_eigs(w[n - n // 2 :] ** 2)
+    return coeffs
 
 
-def char_coeffs(m, method: str = "auto") -> np.ndarray:
+def char_coeffs(m) -> np.ndarray:
     """Characteristic coefficients C_1 .. C_n of a square matrix.
+
+    The eigen-solver follows from the input: a real antisymmetric matrix
+    goes through _antisym_coeffs, a Hermitian one through eigvalsh, and any
+    other through eigvals, whose coefficients are audited for realness.
 
     Parameters
     ----------
     m : array_like
         Square matrix with real characteristic coefficients (Hermitian, real,
         or real-antisymmetric inputs all qualify).
-    method : {"auto", "minors", "eig"}
-        "minors" sums all principal minors (exact semantics, n <= 8 by
-        default), "eig" forms elementary symmetric functions of the spectrum.
 
     Returns
     -------
@@ -174,16 +176,15 @@ def char_coeffs(m, method: str = "auto") -> np.ndarray:
     n = a.shape[0]
     if n > MAX_ORDER:
         raise InputError(f"char_coeffs supports n <= {MAX_ORDER}, got {n}")
-    if method not in ("auto", "minors", "eig"):
-        raise InputError(f"unknown char_coeffs method {method!r}")
-    if method == "minors" or (method == "auto" and n <= 8):
-        coeffs = _char_coeffs_minors(a)
-    else:
-        try:
-            eigs = np.linalg.eigvals(a)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"eigenvalue solve failed: {exc}") from exc
-        coeffs = char_coeffs_from_eigs(eigs).astype(complex)
+    real = not a.imag.any()
+    try:
+        if real and np.array_equal(a.real, -a.real.T):
+            return _antisym_coeffs(a.real)
+        if np.array_equal(a, a.conj().T):
+            return char_coeffs_from_eigs(np.linalg.eigvalsh(a.real if real else a))
+        coeffs = char_coeffs_from_eigs(np.linalg.eigvals(a))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigenvalue solve failed: {exc}") from exc
     scale = max(1.0, float(np.abs(coeffs).max(initial=0.0)))
     resid = float(np.abs(coeffs.imag).max(initial=0.0))
     if resid > 1e-8 * scale:
@@ -194,53 +195,35 @@ def char_coeffs(m, method: str = "auto") -> np.ndarray:
     return coeffs.real
 
 
-def _certified_psd_eigs(h_list) -> list[np.ndarray]:
-    """Eigensystems of a list of psd Hermitian matrices, negatives clamped.
+def _certified_sum(h_list, r: int) -> tuple[list, np.ndarray]:
+    """Eigensystems of a list of psd Hermitian matrices, negatives clamped, and
+    the sum of the clamped matrices.
 
-    Raises InputError naming the first member that fails the psd certificate.
+    Raises InputError naming the first member that fails the psd certificate,
+    and for an order r outside 1..n.
     """
-    out = []
-    dim = None
+    systems = []
+    dim = 0  # no members admit no order
     for i, h in enumerate(h_list):
         a = require_hermitian(h, f"matrix {i}")
-        if dim is None:
+        if i == 0:
             dim = a.shape[0]
         elif a.shape[0] != dim:
             raise InputError(f"matrix {i} has dimension {a.shape[0]}, expected {dim}")
         w, v = np.linalg.eigh(a)
-        if w[0] < -TOL_PSD * max(1.0, abs(w[-1]), abs(w[0])):
+        if not psd_certified(w):
             raise InputError(
                 f"matrix {i} is not positive semidefinite (min eigenvalue {w[0]:.3e})"
             )
-        out.append((np.maximum(w, 0.0), v))
-    return out
-
-
-def _clamped(h_list) -> list[np.ndarray]:
-    return [(v * w) @ v.conj().T for w, v in _certified_psd_eigs(h_list)]
-
-
-def _check_order(r: int, n: int) -> None:
-    if not 1 <= r <= n:
-        raise InputError(f"order r={r} outside 1..{n}")
-
-
-def _antisym_coeffs(a: np.ndarray) -> np.ndarray:
-    # iA is Hermitian for real antisymmetric A; its spectrum times -i is A's.
-    w = np.linalg.eigvalsh(1j * a)
-    coeffs = char_coeffs_from_eigs(-1j * w)
-    return coeffs.real
+        systems.append((np.maximum(w, 0.0), v))
+    if not 1 <= r <= dim:
+        raise InputError(f"order r={r} outside 1..{dim}")
+    return systems, sum((v * w) @ v.conj().T for w, v in systems)
 
 
 def entangled_char_pair(h_list, r: int) -> tuple[float, float]:
     """(C_r(S_1+..+S_m), C_r(A_1+..+A_m)) for psd Hermitian inputs H_k = S_k + iA_k."""
-    clamped = _clamped(h_list)
-    n = clamped[0].shape[0]
-    _check_order(r, n)
-    s_sum = sum(c.real for c in clamped)
-    a_sum = sum(c.imag for c in clamped)
-    s_sum = (s_sum + s_sum.T) / 2
-    a_sum = (a_sum - a_sum.T) / 2
+    s_sum, a_sum = split(_certified_sum(h_list, r)[1])
     lhs = char_coeffs_from_eigs(np.maximum(np.linalg.eigvalsh(s_sum), 0.0))
     rhs = _antisym_coeffs(a_sum)
     return float(lhs[r - 1]), float(rhs[r - 1])
@@ -254,10 +237,7 @@ def entangled_char_gap(h_list, r: int) -> float:
 
 def superadditive_char_pair(h_list, r: int) -> tuple[float, float]:
     """(C_r(H_1+..+H_m), sum_k C_r(H_k)) for psd Hermitian inputs."""
-    systems = _certified_psd_eigs(h_list)
-    n = systems[0][0].size
-    _check_order(r, n)
-    total = sum((v * w) @ v.conj().T for w, v in systems)
+    systems, total = _certified_sum(h_list, r)
     w_tot = np.maximum(np.linalg.eigvalsh(total), 0.0)
     lhs = char_coeffs_from_eigs(w_tot)[r - 1]
     rhs = sum(char_coeffs_from_eigs(w)[r - 1] for w, _ in systems)

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError, TruncationError
-from .linalg import TOL_PSD, as_square_matrix, require_hermitian
+from .linalg import as_square_matrix, psd_certified, require_hermitian
 
 MIN_DIM = 2
 MAX_DIM = 512
@@ -93,7 +93,7 @@ class DensityMatrix:
     def __post_init__(self):
         m = require_hermitian(self.matrix, "density matrix")
         w = np.linalg.eigvalsh(m)
-        if w[0] < -TOL_PSD * max(1.0, abs(w[-1])):
+        if not psd_certified(w):
             raise InputError(f"density matrix is not psd (min eigenvalue {w[0]:.3e})")
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > NORM_TOL:

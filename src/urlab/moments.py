@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .linalg import TOL_PSD, gram
+from .linalg import gram, psd_certified
 from .model import DensityMatrix, Observable, PureState, QuantumState, state_dim
 
 # Imaginary residues of nominally real moments are audited against this,
@@ -133,7 +133,7 @@ def robertson_matrix(observables, state: QuantumState) -> GramUR:
     ms = moment_set(observables, state)
     r = ms.sigma + 1j * ms.cmat
     w = np.linalg.eigvalsh(r)
-    if w[0] < -TOL_PSD * max(1.0, abs(w[-1])):
+    if not psd_certified(w):
         raise NumericError(f"Robertson matrix failed psd certificate ({w[0]:.3e})")
     names = tuple(o.name for o in observables)
     return GramUR("robertson", r, names + (_state_label(state),))

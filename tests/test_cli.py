@@ -240,6 +240,19 @@ def test_divergence_command_symmetry(tmp_path):
     assert row["d_ab"] == pytest.approx(row["d_ba"], abs=1e-12)
 
 
+def test_divergence_variant_is_a_config_value(tmp_path):
+    config = {
+        "observable": {"builder": "fock_q"},
+        "state_a": {"builder": "fock_n", "k": 0},
+        "state_b": {"builder": "coherent", "alpha": [0.5, 0.0]},
+        "hilbert_dim": 16,
+    }
+    for variant in ("a", "b"):
+        assert run(tmp_path, "divergence", dict(config, variant=variant))[0] == 0
+    for bad in ("c", ["a"], None, 1, True):
+        assert run(tmp_path, "divergence", dict(config, variant=bad))[0] == 2, bad
+
+
 def test_report_echoes_config_and_version(tmp_path):
     code, doc = run(tmp_path, "check", CHECK_VACUUM)
     assert doc["config"] == CHECK_VACUUM
@@ -443,6 +456,12 @@ EXTRA_FIELDS = {
     ),
     "pinned_dim": ("scan", dict(SCAN_TINY, pinned={"dim": 3}), ("pinned", "dim")),
     "pinned_n": ("scan", dict(SCAN_TINY, urs=["robertson"], pinned={"n": 3}), ("pinned", "n")),
+    "pinned_n_characteristic": (
+        "scan", dict(SCAN_TINY, urs=["characteristic"], pinned={"n": 3}), ("pinned", "n")
+    ),
+    "pinned_n_char_gap": (
+        "scan", dict(SCAN_TINY, urs=["char_gap_entangled"], pinned={"n": 3}), ("pinned", "n")
+    ),
     "pinned_m": ("scan", dict(SCAN_TINY, urs=["type_2_m"], pinned={"m": 3}), ("pinned", "m")),
     "pinned_r": ("scan", dict(SCAN_TINY, urs=["characteristic"], pinned={"r": 1}), ("pinned", "r")),
     "pinned_h_choice": (
@@ -475,7 +494,7 @@ def test_malformed_extra_or_pin_exit2(tmp_path, field):
     if field.endswith("h_choice"):
         bad_values = ["bogus", "Raw", 0, True, None, ["raw"]]
     else:
-        bad_values = ["x", True, None, [1], float("nan"), 10**400, 2.5]
+        bad_values = ["x", True, None, [1], float("nan"), 10**400, 2.5, 0, -3]
     for bad in bad_values:
         code, _ = run(tmp_path, command, with_path(config, path, bad))
         assert code == 2, (field, bad)

@@ -2,16 +2,18 @@
 coefficients, and the two characteristic gap inequalities."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from urlab.errors import InputError
+from urlab.errors import InputError, NumericError
 from urlab.linalg import (
     HERM_RTOL,
     TOL_PSD,
     char_coeffs,
+    char_coeffs_from_eigs,
     clamp_psd,
     entangled_char_gap,
     gram,
@@ -22,7 +24,7 @@ from urlab.linalg import (
     superadditive_char_gap,
 )
 from urlab.model import DensityMatrix, Observable, PureState
-from urlab.moments import RESIDUE_TOL, moment_set
+from urlab.moments import RESIDUE_TOL, moment_set, robertson_matrix
 
 
 def brute_char_coeffs(m):
@@ -139,7 +141,7 @@ def test_char_coeffs_antisymmetric_2x2():
     assert_allclose(char_coeffs([[0, a], [-a, 0]]), [0, a * a], atol=1e-15)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_char_coeffs_matches_minor_enumeration(n):
     rng = np.random.default_rng(100 + n)
     for _ in range(5):
@@ -153,11 +155,13 @@ def test_char_coeffs_matches_minor_enumeration(n):
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_char_coeffs_minor_and_eig_paths_agree(n):
+    # principal-minor sum, e_r of the general eigvals spectrum, and char_coeffs
     rng = np.random.default_rng(200 + n)
     h = rand_herm(rng, n)
-    a = char_coeffs(h, method="minors")
-    b = char_coeffs(h, method="eig")
+    a = brute_char_coeffs(h)
+    b = char_coeffs_from_eigs(np.linalg.eigvals(h))
     assert_allclose(a, b, rtol=1e-9, atol=1e-9)
+    assert_allclose(char_coeffs(h), a.real, rtol=1e-9, atol=1e-9)
 
 
 def test_char_coeffs_trace_and_det():
@@ -175,6 +179,84 @@ def test_char_coeffs_odd_orders_vanish_for_antisymmetric():
         a = m - m.T
         c = char_coeffs(a)
         assert np.max(np.abs(c[::2])) < 1e-12 * max(1.0, np.max(np.abs(c)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_char_coeffs_real_antisymmetric_matches_minor_enumeration(n):
+    rng = np.random.default_rng(300 + n)
+    m = rng.standard_normal((n, n))
+    a = m - m.T
+    got = char_coeffs(a)
+    want = brute_char_coeffs(a).real
+    assert np.all(got[::2] == 0.0)  # odd orders
+    scale = np.maximum(np.abs(want), 1.0)
+    assert np.max(np.abs(got - want) / scale) < 1e-10
+
+
+def test_char_coeffs_nonsymmetric_real_spectrum_matches_minor_enumeration():
+    # similar to a real triangular matrix: neither Hermitian nor antisymmetric, real spectrum
+    rng = np.random.default_rng(51)
+    t = np.triu(rng.standard_normal((5, 5)))
+    p = rng.standard_normal((5, 5)) + 5 * np.eye(5)
+    m = p @ t @ np.linalg.inv(p)
+    assert not np.allclose(m, m.T)
+    assert_allclose(char_coeffs(m), brute_char_coeffs(m).real, rtol=1e-9, atol=1e-9)
+
+
+def test_char_coeffs_genuinely_complex_coefficients_raise():
+    with pytest.raises(NumericError, match="not real"):
+        char_coeffs([[1j, 0], [0, 2.0]])
+
+
+def test_char_coeffs_psd_spectrum_relative_accuracy():
+    # each C_r against the exact e_r of the chosen eigenvalues, in rationals
+    rng = np.random.default_rng(53)
+    for n in (3, 6, 10, 16):
+        w = np.sort(10.0 ** rng.uniform(-6, 3, n))
+        exact = [Fraction(1)] + [Fraction(0)] * n
+        for x in map(Fraction, w):
+            exact = [exact[0]] + [exact[j] + x * exact[j - 1] for j in range(1, n + 1)]
+        for got in (char_coeffs_from_eigs(w), char_coeffs(np.diag(w))):
+            rel = [abs(Fraction(g) - e) / e for g, e in zip(got, exact[1:])]
+            assert max(rel) < 1e-12, (n, float(max(rel)))
+
+
+# ---------------------------------------------------------------------------
+# psd certificate
+
+
+@pytest.mark.parametrize("side", [0.9, 1.1])
+def test_psd_certificate_same_verdict_at_every_site(side):
+    """diag(1 + eps, -eps) sits just inside (side 0.9) or just outside (1.1)
+    the certificate's edge eps = TOL_PSD / (1 - TOL_PSD). The Robertson matrix
+    of (sigma_x, sigma_y) in that state has spectrum {-2 eps, 2 + 2 eps}, which
+    lies at the same edge."""
+    eps = side * TOL_PSD
+    m = np.diag([1.0 + eps, -eps]).astype(complex)
+    inside = side < 1
+    assert is_psd(m) == inside
+    verdicts = {}
+    for name, site in [
+        ("DensityMatrix", lambda: DensityMatrix(m)),
+        ("entangled_char_gap", lambda: entangled_char_gap([m], 2)),
+        ("superadditive_char_gap", lambda: superadditive_char_gap([m, m], 2)),
+    ]:
+        try:
+            site()
+            verdicts[name] = True
+        except InputError:
+            verdicts[name] = False
+    # DensityMatrix refuses the outside matrix, so the state is built around it
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "matrix", m)
+    sx = Observable("sx", np.array([[0, 1], [1, 0]], dtype=complex))
+    sy = Observable("sy", np.array([[0, -1j], [1j, 0]]))
+    try:
+        robertson_matrix([sx, sy], rho)
+        verdicts["robertson_matrix"] = True
+    except NumericError:
+        verdicts["robertson_matrix"] = False
+    assert verdicts == dict.fromkeys(verdicts, inside)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +306,9 @@ def test_gap_rejects_nonpsd_member_naming_index():
         entangled_char_gap([good, bad], 2)
     with pytest.raises(InputError, match="matrix 1"):
         superadditive_char_gap([good, bad], 2)
+    for gap in (entangled_char_gap, superadditive_char_gap):
+        with pytest.raises(InputError, match="outside 1..0"):
+            gap([], 1)
 
 
 def test_gaps_match_char_coeffs_semantics():
