@@ -8,10 +8,8 @@ from .linalg import (
     SLACK_RTOL,
     TOL_PSD,
     char_coeffs,
-    clamp_psd,
     entangled_char_gap,
     gram,
-    min_eigenvalue,
     split,
     superadditive_char_gap,
 )

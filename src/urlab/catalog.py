@@ -75,9 +75,10 @@ class URReport:
 def _digest(ur_id: str, observables=(), states=(), extras=()):
     """Capture a report's inputs; the returned hasher digests them on call.
 
-    Observables and states are immutable. Any other state entry (a raw
-    amplitude array or a GramUR matrix) is copied now, so a later change to
-    the caller's array does not change the digest.
+    Observables and states are immutable and hash themselves at most once
+    (their ``digest``). Any other state entry (a raw amplitude array or a
+    GramUR matrix) is copied now, so a later change to the caller's array does
+    not change the digest.
     """
     states = tuple(
         st if isinstance(st, (PureState, DensityMatrix)) else np.array(st, dtype=complex)
@@ -87,19 +88,15 @@ def _digest(ur_id: str, observables=(), states=(), extras=()):
 
 
 def _hash_inputs(ur_id: str, observables, states, extras) -> str:
-    h = hashlib.sha256()
-    h.update(ur_id.encode())
+    """First 16 hex digits of SHA-256 over the UTF-8 id, each observable's
+    32-byte sub-digest, for each state slot the state's sub-digest or b"V" and
+    the bytes of its copied array, then the UTF-8 repr() of each extra."""
+    h = hashlib.sha256(ur_id.encode())
     for obs in observables:
-        h.update(b"O")
-        h.update(obs.name.encode())
-        h.update(np.ascontiguousarray(obs.matrix))
+        h.update(obs.digest)
     for st in states:
-        if isinstance(st, PureState):
-            h.update(b"P")
-            h.update(np.ascontiguousarray(st.amplitudes))
-        elif isinstance(st, DensityMatrix):
-            h.update(b"D")
-            h.update(np.ascontiguousarray(st.matrix))
+        if isinstance(st, (PureState, DensityMatrix)):
+            h.update(st.digest)
         else:
             h.update(b"V")
             h.update(np.ascontiguousarray(st))
@@ -339,8 +336,7 @@ def type_2_m(x: Observable, y: Observable, states) -> URReport:
     m = len(states)
     if m < 2:
         raise InputError(f"type_2_m requires m >= 2 states, got {m}")
-    # hashing (False,) as extras keeps the digests of recorded type_2_m reports valid
-    return _pairwise_extended("type_2_m", x, y, states, (False,))
+    return _pairwise_extended("type_2_m", x, y, states)
 
 
 def char_gap_check(matrices, r: int, flavor: str) -> URReport:

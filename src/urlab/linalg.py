@@ -95,20 +95,6 @@ def split(h) -> tuple[np.ndarray, np.ndarray]:
     return s, im
 
 
-def min_eigenvalue(h) -> float:
-    """Smallest eigenvalue of a Hermitian matrix.
-
-    The positive-semidefiniteness verdict used throughout the package,
-    psd_certified, is min_eigenvalue(H) >= -TOL_PSD * max(1, ||H||_2).
-    """
-    a = require_hermitian(h, "min_eigenvalue input")
-    try:
-        w = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigenvalue solve failed: {exc}") from exc
-    return float(w[0])
-
-
 def psd_certified(w: np.ndarray) -> bool:
     """The package's psd certificate on an ascending Hermitian spectrum w."""
     return w[0] >= -TOL_PSD * max(1.0, abs(w[-1]))
@@ -117,16 +103,6 @@ def psd_certified(w: np.ndarray) -> bool:
 def is_psd(h) -> bool:
     a = require_hermitian(h, "is_psd input")
     return psd_certified(np.linalg.eigvalsh(a))
-
-
-def clamp_psd(h) -> np.ndarray:
-    """Reconstruct a certified-psd matrix with negative eigenvalues clamped to zero.
-
-    Prevents sign noise from near-zero eigenvalues in downstream determinants.
-    """
-    a = require_hermitian(h, "clamp_psd input")
-    w, v = np.linalg.eigh(a)
-    return (v * np.maximum(w, 0.0)) @ v.conj().T
 
 
 def char_coeffs_from_eigs(eigs: np.ndarray) -> np.ndarray:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import hashlib
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -34,6 +35,12 @@ SQUEEZED_TAIL_TOL = 1e-8
 
 _SAMPLE_KINDS = ("pure", "density", "hermitian", "psd")
 
+# Dimensions (spin values for spin_operators) each builder cache keeps, enough
+# for requests that cycle through three large dimensions such as 128, 256 and
+# 512. A matrix at dimension 512 takes 4 MB, so an unbounded cache would keep
+# every dimension a long-running process was ever asked for.
+BUILDER_CACHE_SIZE = 4
+
 
 def _check_dim(n: int) -> int:
     n = int(n)
@@ -46,6 +53,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex, copy=True)
     out.setflags(write=False)
     return out
+
+
+def _sub_digest(tag: bytes, a: np.ndarray) -> bytes:
+    """SHA-256 of a tag and an array's bytes: one input's share of a report's
+    ``inputs_digest``."""
+    h = hashlib.sha256(tag)
+    h.update(np.ascontiguousarray(a))
+    return h.digest()
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,6 +78,12 @@ class Observable:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def digest(self) -> bytes:
+        """SHA-256 of b"O", the UTF-8 name and the matrix bytes, computed on
+        first read."""
+        return _sub_digest(b"O" + self.name.encode(), self.matrix)
+
 
 @dataclass(frozen=True, eq=False)
 class PureState:
@@ -79,9 +100,23 @@ class PureState:
             raise InputError(f"pure state is not normalized (norm {nrm!r})")
         object.__setattr__(self, "amplitudes", _frozen(a))
 
+    @classmethod
+    def _trusted(cls, amplitudes: np.ndarray) -> PureState:
+        """Wrap a complex unit vector that its builder has just made and
+        normalised, without auditing or copying it; the array is frozen in place."""
+        amplitudes.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        return state
+
     @property
     def dim(self) -> int:
         return self.amplitudes.size
+
+    @cached_property
+    def digest(self) -> bytes:
+        """SHA-256 of b"P" and the amplitude bytes, computed on first read."""
+        return _sub_digest(b"P", self.amplitudes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,6 +139,11 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def digest(self) -> bytes:
+        """SHA-256 of b"D" and the matrix bytes, computed on first read."""
+        return _sub_digest(b"D", self.matrix)
+
 
 QuantumState = PureState | DensityMatrix
 
@@ -114,14 +154,11 @@ def state_dim(state: QuantumState) -> int:
     raise InputError(f"not a quantum state: {type(state).__name__}")
 
 
-@lru_cache(maxsize=None)
 def _annihilation(n: int) -> np.ndarray:
-    a = np.diag(np.sqrt(np.arange(1.0, n)), 1).astype(complex)
-    a.setflags(write=False)
-    return a
+    return np.diag(np.sqrt(np.arange(1.0, n)), 1).astype(complex)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BUILDER_CACHE_SIZE)
 def fock_operators(n: int) -> tuple[Observable, Observable]:
     """Truncated quadratures (q, p) in the number basis, a|k> = sqrt(k)|k-1>.
 
@@ -143,8 +180,10 @@ def _annihilation_squared(n: int) -> np.ndarray:
     return np.diag(np.sqrt(k) * np.sqrt(k + 1), 2)
 
 
+@lru_cache(maxsize=BUILDER_CACHE_SIZE)
 def quad_plus(n: int) -> Observable:
-    """The continuous-spectrum combination p² − q² = −(a² + a†²).
+    """The continuous-spectrum combination p² − q² = −(a² + a†²), cached per
+    dimension.
 
     The a a† and a† a terms of p² and q² cancel, so the identity holds exactly
     for the truncated matrices too.
@@ -153,9 +192,10 @@ def quad_plus(n: int) -> Observable:
     return Observable("p2-q2", -(a2 + a2.T))
 
 
+@lru_cache(maxsize=BUILDER_CACHE_SIZE)
 def quad_mix(n: int) -> Observable:
     """The continuous-spectrum combination pq + qp = −i(a² − a†²), exact for the
-    truncated matrices as in `quad_plus`."""
+    truncated matrices as in `quad_plus` and cached per dimension."""
     a2 = _annihilation_squared(_check_dim(n))
     return Observable("pq+qp", -1j * (a2 - a2.T))
 
@@ -199,6 +239,8 @@ def coherent_state(alpha: complex, n: int) -> PureState:
     <q> = √2 Re(alpha), <p> = √2 Im(alpha) and Δq² = Δp² = 1/2 hold to ~1e-9.
     """
     n = _check_dim(n)
+    if not cmath.isfinite(alpha):
+        raise InputError(f"coherent state amplitude must be finite, got alpha={alpha}")
     lam = abs(alpha) ** 2
     tail = _poisson_tail_above(lam, n - 3)
     if tail > COHERENT_TAIL_TOL:
@@ -213,7 +255,7 @@ def coherent_state(alpha: complex, n: int) -> PureState:
     amp[0] = 1.0
     for k in range(1, n):
         amp[k] = amp[k - 1] * alpha / math.sqrt(k)
-    return PureState(amp / np.linalg.norm(amp))
+    return PureState._trusted(amp / np.linalg.norm(amp))
 
 
 _SQRT = tuple(math.sqrt(k) for k in range(MAX_DIM))
@@ -250,7 +292,7 @@ def _ideal_tail(alpha: complex, r: float, phi: float, n: int, stop: float = -mat
     return 1.0 - total
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=2 * BUILDER_CACHE_SIZE)  # one entry per (dimension, step)
 def _generator_eigs(n: int, step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigensystem (w, V) of the real tridiagonal generator T_step in dimension
     n, and the level index 0, 1, ... of its basis.
@@ -331,11 +373,13 @@ def squeezed_state(
         vec[0::2] = _evolve(n, 2, 0.5 * r, phi - 0.5 * math.pi, None)
     if alpha != 0:
         vec = _evolve(n, 1, abs(alpha), cmath.phase(alpha) + 0.5 * math.pi, vec)
-    return PureState(vec / np.linalg.norm(vec))
+    return PureState._trusted(vec / np.linalg.norm(vec))
 
 
+@lru_cache(maxsize=BUILDER_CACHE_SIZE)
 def spin_operators(j: float) -> tuple[Observable, Observable, Observable]:
-    """Angular-momentum matrices (Jx, Jy, Jz) for half-integer j, dim = 2j + 1."""
+    """Angular-momentum matrices (Jx, Jy, Jz) for half-integer j, dim = 2j + 1,
+    cached per j."""
     twoj = round(2 * j)
     if abs(2 * j - twoj) > 1e-12 or twoj < 1:
         raise InputError(f"j must be a positive half-integer, got {j}")

@@ -1,5 +1,6 @@
 """Catalog checks: example values, universal validity, reduction identities."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -30,6 +31,7 @@ from urlab.ensembles import DEFAULT_SCAN_URS, scan_report, stream_rng
 from urlab.errors import InputError
 from urlab.linalg import slack_scale
 from urlab.model import (
+    DensityMatrix,
     Observable,
     PureState,
     coherent_state,
@@ -582,21 +584,22 @@ def test_report_digest_tracks_inputs():
 
 
 # inputs_digest of one seeded scan instance per default check, recorded when
-# the digest was still computed eagerly as each report was built
+# each observable and state first hashed itself into a sub-digest (only the
+# char gaps, whose inputs are copied Gram matrices, kept their earlier values)
 GOLDEN_DIGESTS = {
-    "heisenberg": "16b962734f85cedf",
-    "schrodinger": "f531c192192ac032",
-    "robertson": "d3baeb0feb88d8b1",
-    "characteristic": "f5019c7f0089d85d",
-    "type_1_2a": "38a97f139f35f63b",
-    "type_1_2b": "50ff25ad20b63c16",
-    "type_2_1": "797cefd1d196ffda",
-    "type_2_2a": "af6e91ed8760af8f",
-    "type_2_2b": "ac4f2f28884fdbf2",
-    "extended_schrodinger": "e6eeee7ac28b972d",
-    "entangled_heisenberg": "db31d18d668941d0",
-    "type_3_1": "b2074e4495f5b4ed",
-    "type_2_m": "506b28a148580a78",
+    "heisenberg": "f5270c4cd4f08a61",
+    "schrodinger": "e7c67d810af06ec0",
+    "robertson": "af52be95008a7078",
+    "characteristic": "173042bdbb0e8171",
+    "type_1_2a": "6a73cb019c481ef8",
+    "type_1_2b": "aef84300be9c53c5",
+    "type_2_1": "c095b9495b692ab2",
+    "type_2_2a": "3a5b2d1dc5b3b71a",
+    "type_2_2b": "0af701c57c698464",
+    "extended_schrodinger": "5cc6ac9f3b77f21c",
+    "entangled_heisenberg": "b9f0086e4b88f40e",
+    "type_3_1": "23180b9453cc6293",
+    "type_2_m": "c17afedd906b2430",
     "char_gap_entangled": "304c97561027a9fb",
     "char_gap_superadditive": "7885b46af9933e0c",
 }
@@ -628,6 +631,54 @@ def test_digest_ignores_later_mutation_of_inputs():
     hasher = _digest("raw", (), (amps,))
     amps[0] = 1.0
     assert hasher() == expected
+
+
+def _documented_digest(ur_id, observables, states, extras=()):
+    """inputs_digest spelled out from its definition in the README."""
+    h = hashlib.sha256(ur_id.encode())
+    for obs in observables:
+        h.update(hashlib.sha256(b"O" + obs.name.encode() + obs.matrix.tobytes()).digest())
+    for st in states:
+        if isinstance(st, PureState):
+            h.update(hashlib.sha256(b"P" + st.amplitudes.tobytes()).digest())
+        elif isinstance(st, DensityMatrix):
+            h.update(hashlib.sha256(b"D" + st.matrix.tobytes()).digest())
+        else:
+            h.update(b"V" + np.asarray(st, dtype=complex).tobytes())
+    for x in extras:
+        h.update(repr(x).encode())
+    return h.hexdigest()[:16]
+
+
+def test_digest_follows_the_documented_formula():
+    rng = np.random.default_rng(41)
+    obs = rand_observables(rng, 2, 3)
+    states = (rand_pure(rng, 3), sample("density", 3, 5))
+    rep = type_2_m(*obs, states)
+    assert rep.inputs_digest == _documented_digest("type_2_m", obs, states)
+    rep = characteristic(obs, states[0], 1)
+    assert rep.inputs_digest == _documented_digest("characteristic", obs, states[:1], (1,))
+    grams = [robertson_matrix(obs, s) for s in states]
+    rep = char_gap_check(grams, 2, "entangled")
+    prov = tuple(f"{g.kind}:{','.join(g.provenance)}" for g in grams)
+    expected = _documented_digest("char_gap_entangled", (), [g.matrix for g in grams], (2,) + prov)
+    assert rep.inputs_digest == expected
+
+
+def test_equal_inputs_in_distinct_objects_give_equal_digests():
+    rng = np.random.default_rng(43)
+    x, y = rand_observables(rng, 2, 4)
+    psi, rho = rand_pure(rng, 4), sample("density", 4, 9)
+    x2, y2 = (Observable(o.name, o.matrix.copy()) for o in (x, y))
+    psi2, rho2 = PureState(psi.amplitudes.copy()), DensityMatrix(rho.matrix.copy())
+    assert all(a is not b for a, b in ((x, x2), (y, y2), (psi, psi2), (rho, rho2)))
+    assert (x.digest, psi.digest, rho.digest) == (x2.digest, psi2.digest, rho2.digest)
+    rep = type_2_m(x, y, (psi, rho))
+    assert type_2_m(x2, y2, (psi2, rho2)).inputs_digest == rep.inputs_digest
+    renamed = Observable("other", x.matrix)
+    assert renamed.digest != x.digest
+    assert type_2_m(renamed, y, (psi, rho)).inputs_digest != rep.inputs_digest
+    assert type_2_m(x, y, (rho, psi)).inputs_digest != rep.inputs_digest
 
 
 def test_report_accepts_a_digest_string():

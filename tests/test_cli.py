@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import urlab
+from urlab import model
 from urlab.catalog import char_gap_from_states
 from urlab.cli import _parse_matrix, main
 from urlab.model import fock_operators, fock_state, squeezed_state
@@ -109,6 +110,35 @@ def test_check_raw_density(tmp_path):
     }
     code, doc = run(tmp_path, "check", config)
     assert code == 0
+
+
+def test_check_hashes_each_input_once(tmp_path, monkeypatch):
+    # three rows over the same inputs: each matrix is hashed by the first row
+    # that reads it, and the cached builder observables stay hashed for the
+    # next request, which hashes only its freshly built state
+    config = {
+        "urs": ["robertson", {"id": "characteristic", "r": 2}, "type_3_1"],
+        "hilbert_dim": 48,
+        "observables": [{"builder": "fock_q"}, {"builder": "fock_p"}, {"builder": "quad_plus"}],
+        "states": [{"builder": "fock_n", "k": 1}],
+    }
+    for build in (model.fock_operators, model.quad_plus):
+        build.cache_clear()
+    hashed = []
+    sub_digest = model._sub_digest
+
+    def counting(tag, a):
+        hashed.append(tag)
+        return sub_digest(tag, a)
+
+    monkeypatch.setattr(model, "_sub_digest", counting)
+    code, doc = run(tmp_path, "check", config)
+    assert code == 0 and doc["summary"]["n_results"] == 3
+    assert sorted(hashed) == [b"Op", b"Op2-q2", b"Oq", b"P"]
+    hashed.clear()
+    code, again = run(tmp_path, "check", config)
+    assert code == 0 and hashed == [b"P"]
+    assert again["results"] == doc["results"]
 
 
 def test_check_gap_rows_match_char_gap_from_states(tmp_path):

@@ -14,12 +14,10 @@ from urlab.linalg import (
     TOL_PSD,
     char_coeffs,
     char_coeffs_from_eigs,
-    clamp_psd,
     entangled_char_gap,
     gram,
     hermiticity_defect,
     is_psd,
-    min_eigenvalue,
     split,
     superadditive_char_gap,
 )
@@ -78,7 +76,7 @@ def test_gram_dimension_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# split / min_eigenvalue
+# split / is_psd
 
 
 def test_split_basic():
@@ -106,20 +104,11 @@ def test_split_rejects_nonhermitian():
         split([[0, 1], [0, 0]])
 
 
-def test_min_eigenvalue_examples():
-    assert min_eigenvalue(np.eye(3)) == pytest.approx(1.0)
-    # 2x2 closed forms: eigenvalues 1 +- 2 and {0, 2}
-    assert min_eigenvalue([[1, 2], [2, 1]]) == pytest.approx(-1.0)
-    assert min_eigenvalue([[1, 1j], [-1j, 1]]) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_is_psd_and_clamp():
+def test_is_psd():
     rng = np.random.default_rng(3)
     h = rand_psd(rng, 4)
     assert is_psd(h)
     assert not is_psd(np.diag([1.0, -1.0]))
-    c = clamp_psd(h - 1e-14 * np.eye(4))
-    assert np.linalg.eigvalsh(c)[0] >= 0.0
 
 
 # ---------------------------------------------------------------------------

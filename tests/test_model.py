@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from urlab.errors import InputError, TruncationError
 from urlab.model import (
+    BUILDER_CACHE_SIZE,
     MAX_DIM,
     SQUEEZED_TAIL_TOL,
     DensityMatrix,
@@ -95,6 +96,32 @@ def test_quadratic_observables_check_dim(n):
     for build in (quad_plus, quad_mix):
         with pytest.raises(InputError):
             build(n)
+
+
+def test_named_observables_are_built_once_per_dimension():
+    assert quad_plus(40) is quad_plus(40)
+    assert quad_mix(40) is quad_mix(40)
+    assert fock_operators(40) is fock_operators(40)
+    assert spin_operators(1.5) is spin_operators(1.5)
+    for obs in (quad_plus(40), quad_mix(40), *fock_operators(40), *spin_operators(1.5)):
+        assert not obs.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            obs.matrix[0, 0] = 1.0
+
+
+def test_builder_caches_stay_bounded():
+    for build in (fock_operators, quad_plus, quad_mix, spin_operators):
+        assert build.cache_info().maxsize == BUILDER_CACHE_SIZE
+    first = quad_plus(20)
+    for n in range(20, 20 + BUILDER_CACHE_SIZE + 3):
+        quad_plus(n)
+        fock_operators(n)
+        spin_operators((n - 19) / 2)
+    for build in (quad_plus, fock_operators, spin_operators):
+        assert build.cache_info().currsize == BUILDER_CACHE_SIZE
+    # an evicted dimension is rebuilt with the same values
+    again = quad_plus(20)
+    assert again is not first and (again.matrix == first.matrix).all()
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +386,22 @@ def test_squeezed_rejects_non_finite_parameters():
     for args in ((np.nan, 0.1, 0.0), (0.0, np.inf, 0.0), (0.0, 0.1, np.nan)):
         with pytest.raises(InputError):
             squeezed_state(*args, 64)
+
+
+def test_coherent_rejects_non_finite_amplitude():
+    for alpha in (complex(np.nan, 0.0), complex(0.0, np.inf)):
+        with pytest.raises(InputError):
+            coherent_state(alpha, 64)
+
+
+def test_gaussian_builders_return_frozen_unit_vectors():
+    for psi in (coherent_state(0.7 - 0.2j, 64), squeezed_state(0.3j, 0.5, 0.4, 64)):
+        a = psi.amplitudes
+        assert isinstance(psi, PureState) and a.dtype == complex and a.shape == (64,)
+        assert abs(np.linalg.norm(a) - 1.0) <= 1e-14
+        assert not a.flags.writeable
+        # the audited constructor accepts it and keeps the same values
+        assert (PureState(a).amplitudes == a).all()
 
 
 # ---------------------------------------------------------------------------
