@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -493,7 +494,10 @@ _COMMANDS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="urlab",
         description="Construct, evaluate, minimize and property-test uncertainty relations",

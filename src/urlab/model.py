@@ -210,7 +210,7 @@ def fock_state(k: int, n: int) -> PureState:
 
 
 def _poisson_tail_above(lam: float, level: int) -> float:
-    """Weight of Poisson(lam) strictly above `level`."""
+    """Weight of Poisson(lam) strictly above `level`; NaN for an infinite lam."""
     if lam <= 0.0:
         return 0.0
     term = math.exp(-lam)
@@ -218,7 +218,8 @@ def _poisson_tail_above(lam: float, level: int) -> float:
     for k in range(1, level + 1):
         term *= lam / k
         cdf += term
-    return max(0.0, 1.0 - cdf)
+    tail = 1.0 - cdf
+    return 0.0 if tail < 0.0 else tail  # a NaN tail stays NaN
 
 
 def _coherent_required_dim(lam: float, tol: float) -> int | None:
@@ -241,9 +242,10 @@ def coherent_state(alpha: complex, n: int) -> PureState:
     n = _check_dim(n)
     if not cmath.isfinite(alpha):
         raise InputError(f"coherent state amplitude must be finite, got alpha={alpha}")
-    lam = abs(alpha) ** 2
+    # a product, not ** 2: |alpha| beyond ~1.3e154 then gives inf, not OverflowError
+    lam = abs(alpha) * abs(alpha)
     tail = _poisson_tail_above(lam, n - 3)
-    if tail > COHERENT_TAIL_TOL:
+    if not tail <= COHERENT_TAIL_TOL:  # also rejects the NaN tail of an infinite lam
         req = _coherent_required_dim(lam, COHERENT_TAIL_TOL)
         hint = f"; need dimension >= {req}" if req else ""
         raise TruncationError(

@@ -17,6 +17,15 @@ from .model import DensityMatrix, Observable, PureState, QuantumState, state_dim
 RESIDUE_TOL = 1e-10
 VARIANCE_FLOOR = -1e-12
 
+# Observable tuples whose products each state keeps, oldest dropped first. A
+# check request applies every listed check to one observable tuple and its
+# one- and two-observable sub-tuples; a fixed minimiser slot meets one tuple.
+MEMO_SIZE = 4
+# The attribute under which a state keeps its memo, {observable tuple: (rows,
+# complex means, M)}, in its instance dict as `digest` is kept: it dies with
+# the state.
+_MEMO_ATTR = "_moment_memo"
+
 
 @dataclass(frozen=True, eq=False)
 class MomentSet:
@@ -71,11 +80,13 @@ def _audit_real(values: np.ndarray, what: str) -> np.ndarray:
     return values.real
 
 
-def _observable_matrices(observables, state: QuantumState) -> list[np.ndarray]:
+def _checked_observables(observables, state: QuantumState) -> tuple:
+    """The observables as a tuple, after checking each is an Observable of
+    the state's dimension."""
+    observables = tuple(observables)
     if len(observables) == 0:
         raise InputError("at least one observable required")
     dim = state_dim(state)
-    mats = []
     for i, obs in enumerate(observables):
         if not isinstance(obs, Observable):
             raise InputError(f"argument {i} is not an Observable")
@@ -83,8 +94,7 @@ def _observable_matrices(observables, state: QuantumState) -> list[np.ndarray]:
             raise InputError(
                 f"observable {obs.name!r} has dimension {obs.dim}, state has {dim}"
             )
-        mats.append(obs.matrix)
-    return mats
+    return observables
 
 
 def _raw_moments(mats: list[np.ndarray], state: QuantumState):
@@ -100,10 +110,34 @@ def _raw_moments(mats: list[np.ndarray], state: QuantumState):
     return None, np.array([np.trace(lj) for lj in left]), m2
 
 
+def _memo_moments(observables: tuple, state: QuantumState):
+    """``_raw_moments`` of a validated observable tuple in a state, computed
+    once per state and tuple and returned read-only.
+
+    The memo holds the last MEMO_SIZE tuples per state, keyed by the
+    observable objects themselves (they are immutable), and is collected
+    with the state. A hit returns the arrays the miss computed.
+    """
+    memo = state.__dict__.setdefault(_MEMO_ATTR, {})
+    hit = memo.get(observables)
+    if hit is not None:
+        return hit
+    out = rows, means, m2 = _raw_moments([o.matrix for o in observables], state)
+    # setflags(False) is setflags(write=False) without the keyword's parsing cost
+    if rows is not None:
+        rows.setflags(False)
+    means.setflags(False)
+    m2.setflags(False)
+    if len(memo) >= MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[observables] = out
+    return out
+
+
 def second_moment_matrix(observables, state: QuantumState) -> np.ndarray:
     """Matrix of raw second moments M_jk = <X_j X_k> in the given state,
-    without the audits of moment_set."""
-    return _raw_moments(_observable_matrices(observables, state), state)[2]
+    without the audits of moment_set; read-only, shared with moment_set."""
+    return _memo_moments(_checked_observables(observables, state), state)[2]
 
 
 def moment_set(observables, state: QuantumState) -> MomentSet:
@@ -112,19 +146,22 @@ def moment_set(observables, state: QuantumState) -> MomentSet:
     from, so that ``comm`` reads mean commutators without new products.
 
     Works for pure states (via <psi|..|psi>) and density matrices (via
-    Tr(rho ..)). Imaginary residues beyond roundoff raise NumericError.
+    Tr(rho ..)). The products come from the per-state memo; the audits run
+    on every call, and imaginary residues beyond roundoff raise NumericError.
+    Every array of the result is read-only.
     """
-    mats = _observable_matrices(observables, state)
-    rows, means_c, m2 = _raw_moments(mats, state)
+    rows, means_c, m2 = _memo_moments(_checked_observables(observables, state), state)
     means = _audit_real(means_c, "observable means")
     # both terms are exactly symmetric, so sigma needs no symmetrizing pass
     sym = (m2 + m2.T) / 2
-    sigma = _audit_real(sym, "uncertainty matrix") - np.outer(means, means)
+    sigma = _audit_real(sym, "uncertainty matrix") - means[:, None] * means
     cmat = _audit_real(-0.5j * (m2 - m2.T), "mean-commutator matrix")
     cmat = (cmat - cmat.T) / 2
     min_var = sigma.diagonal().min()
     if min_var < VARIANCE_FLOOR and min_var < VARIANCE_FLOOR * max(1.0, np.abs(sigma).max()):
         raise NumericError(f"negative variance {min_var:.3e}")
+    sigma.setflags(False)
+    cmat.setflags(False)
     return MomentSet(means=means, sigma=sigma, cmat=cmat, m2=m2, rows=rows)
 
 
@@ -158,11 +195,24 @@ def _pure_amplitudes(states) -> list[np.ndarray]:
     return out
 
 
+def _memo_hit(observables, states):
+    """The memoised products of the tuple when one PureState fills every slot
+    of ``states`` and its memo holds them, else None; a Gram construction
+    reads the memo but does not fill it."""
+    first = states[0]
+    memo = first.__dict__.get(_MEMO_ATTR) if isinstance(first, PureState) else None
+    if memo is None or not all(s is first for s in states):
+        return None
+    return memo.get(tuple(observables))
+
+
 def gram_centered(observables, states) -> GramUR:
     """Gram matrix of the centered vectors (X_k - <psi_k|X_k|psi_k>)|psi_k>.
 
     One normalized pure state per observable; the diagonal entries are the
-    variances ΔX_k(psi_k)². With all states equal this is the Robertson matrix.
+    variances ΔX_k(psi_k)². With all states equal this is the Robertson matrix,
+    and the rows X_k|psi> and means are read from the moment memo when it
+    holds them.
     """
     if len(observables) != len(states):
         raise InputError("need exactly one state per observable")
@@ -173,16 +223,17 @@ def gram_centered(observables, states) -> GramUR:
                 "requires normalized pure states"
             )
     dim = states[0].dim
-    vecs = []
-    names = []
     for obs, st in zip(observables, states):
         if obs.dim != dim or st.dim != dim:
             raise InputError("observables and states must share one dimension")
-        psi = st.amplitudes
-        mean = np.vdot(psi, obs.matrix @ psi).real
-        vecs.append(obs.matrix @ psi - mean * psi)
-        names.append(obs.name)
-    return GramUR("centered", gram(vecs), tuple(names))
+    hit = _memo_hit(observables, states)
+    if hit is not None:
+        rows, means, _ = hit
+    else:
+        rows = [obs.matrix @ st.amplitudes for obs, st in zip(observables, states)]
+        means = [np.vdot(st.amplitudes, v) for st, v in zip(states, rows)]
+    vecs = [v - z.real * st.amplitudes for v, z, st in zip(rows, means, states)]
+    return GramUR("centered", gram(vecs), tuple([o.name for o in observables]))
 
 
 def gram_raw(observables, states) -> GramUR:
@@ -191,20 +242,22 @@ def gram_raw(observables, states) -> GramUR:
     States may be PureState objects or raw (possibly unnormalized) vectors;
     the construction is linear in each state, which is what the state
     transformation law acts on. For normalized states the diagonal is
-    ΔX_k² + <X_k>².
+    ΔX_k² + <X_k>². With one PureState in every slot the vectors are read
+    from the moment memo when it holds them.
     """
     if len(observables) != len(states):
         raise InputError("need exactly one state per observable")
     amps = _pure_amplitudes(states)
     dim = amps[0].size
-    vecs = []
-    names = []
     for obs, amp in zip(observables, amps):
         if obs.dim != dim or amp.size != dim:
             raise InputError("observables and states must share one dimension")
-        vecs.append(obs.matrix @ amp)
-        names.append(obs.name)
-    return GramUR("raw", gram(vecs), tuple(names))
+    hit = _memo_hit(observables, states)
+    if hit is not None:
+        vecs = hit[0]
+    else:
+        vecs = [obs.matrix @ amp for obs, amp in zip(observables, amps)]
+    return GramUR("raw", gram(vecs), tuple([o.name for o in observables]))
 
 
 def transform_observables(lam, observables) -> list[Observable]:

@@ -170,6 +170,86 @@ def test_check_gap_rows_match_char_gap_from_states(tmp_path):
         assert row == dict(rep.as_dict(), holds=True)
 
 
+def _rows_alone_and_together(tmp_path, config):
+    """The rows of one multi-row check, and each check requested alone."""
+    code, doc = run(tmp_path, "check", config)
+    assert code == 0
+    alone = []
+    for entry in config["urs"]:
+        code, single = run(tmp_path, "check", dict(config, urs=[entry]))
+        assert code == 0
+        alone.append(single["results"][0])
+    return doc["results"], alone
+
+
+def _raw_density_rows(d, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    return rho.view(float).reshape(d, d, 2).tolist()
+
+
+MULTI_ROW_CHECKS = {
+    "one pure state": {
+        "urs": ["robertson", {"id": "characteristic", "r": 2},
+                {"id": "char_gap_entangled", "h_choice": "centered"}],
+        "hilbert_dim": 48,
+        "observables": [{"builder": "fock_q"}, {"builder": "fock_p"}, {"builder": "quad_mix"}],
+        "states": [{"builder": "squeezed", "alpha": [0.3, -0.2], "r": 0.4, "phi": 0.7}],
+    },
+    "two pure states": {
+        "urs": ["type_2_2a", "extended_schrodinger",
+                {"id": "char_gap_superadditive", "r": 1, "h_choice": "raw"}],
+        "hilbert_dim": 48,
+        "observables": [{"builder": "fock_q"}, {"builder": "fock_p"}],
+        "states": [{"builder": "coherent", "alpha": [0.5, 0.1]},
+                   {"builder": "squeezed", "alpha": [0.1, 0.2], "r": -0.3, "phi": 1.1}],
+    },
+    "raw density at dim 128": {
+        "urs": ["heisenberg", "type_2_1", {"id": "char_gap_entangled", "r": 1}],
+        "hilbert_dim": 128,
+        "observables": [{"builder": "fock_q"}, {"builder": "fock_p"}],
+        "states": [{"builder": "raw_density", "matrix": _raw_density_rows(128, 5)}],
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_ROW_CHECKS))
+def test_each_row_equals_its_check_requested_alone(tmp_path, case):
+    together, alone = _rows_alone_and_together(tmp_path, MULTI_ROW_CHECKS[case])
+    assert len(together) == 3
+    for row, single in zip(together, alone, strict=True):
+        assert json.dumps(row) == json.dumps(single)
+
+
+def test_shared_parser_keeps_each_call_apart(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("URLAB_SEED", raising=False)
+    assert urlab.cli.build_parser() is urlab.cli.build_parser()
+    out = tmp_path / "report.json"
+    check = write_config(tmp_path, "check.json", CHECK_VACUUM)
+    assert main(["check", "--config", check, "--dim", "32", "--seed", "5", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["command"], doc["hilbert_dim"], doc["seed"]) == ("check", 32, 5)
+    div = write_config(tmp_path, "div.json", {
+        "hilbert_dim": 24,
+        "observable": {"builder": "fock_q"},
+        "state_a": {"builder": "fock_n", "k": 0},
+        "state_b": {"builder": "fock_n", "k": 1},
+    })
+    assert main(["divergence", "--config", div, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    # neither --dim nor --seed of the earlier call carries over
+    assert (doc["command"], doc["hilbert_dim"], doc["seed"]) == ("divergence", 24, 0)
+    for bad in (["check"], ["nosuch", "--config", check], ["scan", "--config", check, "--dim", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["check", "--config", check, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["hilbert_dim"] == 64
+
+
 SCAN_SMALL = {
     "urs": ["schrodinger", "robertson", "char_gap_superadditive"],
     "ensemble_size": 40,
@@ -299,6 +379,14 @@ def test_truncation_error_maps_to_exit3(tmp_path):
     }
     code, _ = run(tmp_path, "check", config)
     assert code == 3
+
+
+@pytest.mark.parametrize("alpha", [[1e200, 0.0], [0.0, 1e160], [1.3e154, 0.0]])
+def test_huge_coherent_amplitude_maps_to_exit3(tmp_path, capsys, alpha):
+    config = dict(CHECK_VACUUM, states=[{"builder": "coherent", "alpha": alpha}])
+    code, doc = run(tmp_path, "check", config)
+    assert code == 3 and doc is None
+    assert "Poisson tail" in capsys.readouterr().err
 
 
 SQUEEZED_CHECK = {

@@ -24,6 +24,7 @@ from urlab.model import (
     quad_plus,
     _annihilation,
     _ideal_tail,
+    _poisson_tail_above,
     sample,
     spin_operators,
     squeezed_state,
@@ -392,6 +393,19 @@ def test_coherent_rejects_non_finite_amplitude():
     for alpha in (complex(np.nan, 0.0), complex(0.0, np.inf)):
         with pytest.raises(InputError):
             coherent_state(alpha, 64)
+
+
+@pytest.mark.parametrize("alpha", [1e200, 1e160j, complex(1e154, -1e154), 1.3e154])
+def test_coherent_rejects_huge_amplitude_as_truncation(alpha):
+    # |alpha|^2 overflows to inf above about 1.3e154; 1.3e154 itself is just below
+    with pytest.raises(TruncationError) as err:
+        coherent_state(alpha, 64)
+    assert err.value.required_dim is None
+
+
+def test_poisson_tail_of_infinite_mean_is_nan():
+    assert math.isnan(_poisson_tail_above(math.inf, 61))
+    assert _poisson_tail_above(1e300, 61) == 1.0
 
 
 def test_gaussian_builders_return_frozen_unit_vectors():

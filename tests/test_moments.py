@@ -1,12 +1,16 @@
 """Moment sets, Robertson matrix, Gram constructions, transformation laws."""
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from urlab import moments
 from urlab.errors import InputError
+from urlab.linalg import gram
 from urlab.model import (
     DensityMatrix,
     Observable,
@@ -364,3 +368,118 @@ def test_moment_set_mixed_commutators_match_trace_formula(d):
         assert ms.rows is None
         assert ms.m2.tobytes() == second_moment_matrix(obs, rho).tobytes()
 
+
+# ---------------------------------------------------------------------------
+# per-state moment memo
+
+
+def _arrays(ms):
+    return [a for a in (ms.means, ms.sigma, ms.cmat, ms.m2, ms.rows) if a is not None]
+
+
+def test_memo_hit_is_bit_identical_to_a_fresh_computation():
+    rng = np.random.default_rng(21)
+    obs = rand_observables(rng, 3, 12)
+    pure = rand_pure(rng, 12)
+    mixed = rand_density(rng, 12)
+    for st, twin in ((pure, PureState(pure.amplitudes)), (mixed, DensityMatrix(mixed.matrix))):
+        first = moment_set(obs, st)
+        hit = moment_set(obs, st)
+        fresh = moment_set(obs, twin)  # an equal state is a distinct memo key
+        assert hit.m2 is first.m2 and fresh.m2 is not first.m2
+        for a, b, c in zip(_arrays(first), _arrays(hit), _arrays(fresh), strict=True):
+            assert a.tobytes() == b.tobytes() == c.tobytes()
+        assert second_moment_matrix(obs, st) is first.m2
+
+
+def test_each_product_is_formed_once_per_state_and_tuple(monkeypatch):
+    calls = []
+    raw_moments = moments._raw_moments
+
+    def counting(mats, state):
+        calls.append(len(mats))
+        return raw_moments(mats, state)
+
+    monkeypatch.setattr(moments, "_raw_moments", counting)
+    obs = fock_operators(16)
+    psi = coherent_state(0.4 - 0.3j, 16)
+    moment_set(obs, psi)
+    robertson_matrix(obs, psi)
+    gram_centered(obs, [psi, psi])
+    gram_raw(obs, [psi, psi])
+    second_moment_matrix(list(obs), psi)
+    assert calls == [2]
+    moment_set(obs[:1], psi)
+    assert calls == [2, 1]
+    # a Gram construction reads the memo but does not fill it
+    fresh = coherent_state(0.1j, 16)
+    gram_centered(obs, [fresh, fresh])
+    gram_raw(obs, [fresh, fresh])
+    assert calls == [2, 1] and moments._MEMO_ATTR not in vars(fresh)
+
+
+def _memo(state) -> dict:
+    return vars(state)[moments._MEMO_ATTR]
+
+
+def test_memo_keeps_at_most_memo_size_tuples_per_state():
+    rng = np.random.default_rng(22)
+    pool = rand_observables(rng, moments.MEMO_SIZE + 2, 6)
+    psi = rand_pure(rng, 6)
+    tuples = [(a, b) for a, b in zip(pool, pool[1:])]
+    for t in tuples:
+        moment_set(t, psi)
+    assert list(_memo(psi)) == tuples[-moments.MEMO_SIZE:]  # the oldest went first
+    again = moment_set(tuples[0], psi)
+    assert again.m2.tobytes() == moment_set(tuples[0], PureState(psi.amplitudes)).m2.tobytes()
+    assert len(_memo(psi)) == moments.MEMO_SIZE
+
+
+def test_collected_state_drops_its_memo_entries():
+    obs = fock_operators(16)
+    psi = coherent_state(0.5, 16)
+    ms = moment_set(obs, psi)
+    assert _memo(psi)[obs][0] is ms.rows
+    refs = [weakref.ref(psi), weakref.ref(ms.rows), weakref.ref(ms.m2)]
+    del psi, ms
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_moment_set_arrays_are_read_only():
+    rng = np.random.default_rng(23)
+    obs = rand_observables(rng, 2, 5)
+    for st in (rand_pure(rng, 5), rand_density(rng, 5)):
+        ms = moment_set(obs, st)
+        for a in _arrays(ms) + [second_moment_matrix(obs, st)]:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+
+def _gram_centered_by_slot(observables, states):
+    """Centered Gram matrix formed as earlier versions did, two products per slot."""
+    vecs = []
+    for obs, st in zip(observables, states):
+        psi = st.amplitudes
+        mean = np.vdot(psi, obs.matrix @ psi).real
+        vecs.append(obs.matrix @ psi - mean * psi)
+    return gram(vecs)
+
+
+@pytest.mark.parametrize("d", [3, 12, 64])
+def test_one_state_grams_are_bit_identical_to_per_slot_products(d):
+    rng = np.random.default_rng(24 + d)
+    obs = rand_observables(rng, 3, d)
+    for warm in (False, True):
+        psi = rand_pure(rng, d)
+        if warm:
+            moment_set(obs, psi)
+        slots = [psi] * len(obs)
+        want_c = _gram_centered_by_slot(obs, slots)
+        want_r = gram([o.matrix @ psi.amplitudes for o in obs])
+        assert gram_centered(obs, slots).matrix.tobytes() == want_c.tobytes()
+        assert gram_raw(obs, slots).matrix.tobytes() == want_r.tobytes()
+    states = [rand_pure(rng, d) for _ in obs]
+    want_c = _gram_centered_by_slot(obs, states)
+    assert gram_centered(obs, states).matrix.tobytes() == want_c.tobytes()
