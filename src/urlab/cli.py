@@ -71,10 +71,12 @@ def _parse_real(value, what: str) -> float:
     raise ConfigError(f"{what} must be a finite number, got {value!r}")
 
 
-def _parse_int(value, what: str) -> int:
+def _parse_int(value, what: str, least: int | None = None) -> int:
     x = _parse_real(value, what)
     if not x.is_integer():
         raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if least is not None and x < least:
+        raise ConfigError(f"{what} must be at least {least}, got {value!r}")
     return int(x)
 
 
@@ -157,12 +159,9 @@ def _parse_extras(extras, what: str) -> dict:
     out = dict(extras)
     for key in _INT_EXTRAS:
         if key in out:
-            out[key] = _parse_int(out[key], f"{what} {key!r}")
+            out[key] = _parse_int(out[key], f"{what} {key!r}", least=None if key == "dim" else 1)
     if "dim" in out and not MIN_DIM <= out["dim"] <= MAX_DIM:
         raise ConfigError(f"{what} 'dim' must lie in [{MIN_DIM}, {MAX_DIM}], got {out['dim']!r}")
-    for key in ("n", "m", "r"):
-        if key in out and out[key] < 1:
-            raise ConfigError(f"{what} {key!r} must be at least 1, got {out[key]!r}")
     h_choice = out.get("h_choice", H_CHOICES[0])
     if h_choice not in H_CHOICES:
         raise ConfigError(f"{what} 'h_choice' must be one of {H_CHOICES}, got {h_choice!r}")
@@ -304,9 +303,7 @@ def run_check(config: dict, seed: int, dim: int) -> tuple[dict, int]:
 
 def run_scan(config: dict, seed: int, dim: int) -> tuple[dict, int]:
     rtol = _slack_rtol(config)
-    size = _parse_int(config.get("ensemble_size", 100), "ensemble_size")
-    if size < 1:
-        raise ConfigError("ensemble_size must be >= 1")
+    size = _parse_int(config.get("ensemble_size", 100), "ensemble_size", least=1)
     dims_cfg = config.get("dims", {"min": 2, "max": 8})
     if isinstance(dims_cfg, dict):
         lo = _parse_int(dims_cfg.get("min", 2), "dims.min")
@@ -384,8 +381,8 @@ def run_minimize(config: dict, seed: int, dim: int) -> tuple[dict, int]:
         dim=dim,
         free_slots=free,
         fixed_states=fixed,
-        budget=_parse_int(config.get("budget", 400), "budget"),
-        restarts=_parse_int(config.get("restarts", 8), "restarts"),
+        budget=_parse_int(config.get("budget", 400), "budget", least=1),
+        restarts=_parse_int(config.get("restarts", 8), "restarts", least=1),
         seed=seed,
         extras=_parse_extras(config.get("extras") or {}, "extras"),
     )
@@ -396,6 +393,7 @@ def run_minimize(config: dict, seed: int, dim: int) -> tuple[dict, int]:
         "iterations": result.iterations,
         "evaluations": result.evaluations,
         "converged": result.converged,
+        "truncation_rejects": result.truncation_rejects,
         "slots": [
             {"alpha": [s.alpha.real, s.alpha.imag], "r": s.r, "phi": s.phi}
             for s in result.slots
@@ -528,7 +526,10 @@ def _report_text(head: dict, config_text: str, body: dict) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a malformed list, 0 after --help
+        return exc.code
     try:
         with open(args.config, "r", encoding="utf-8", newline="") as fh:
             config_text = fh.read()

@@ -118,6 +118,114 @@ def test_nelder_mead_restarts_a_stagnant_simplex():
     assert abs(res.slack) < 1e-10
 
 
+def test_descent_lands_on_the_box_boundary_with_a_certificate():
+    # the unconstrained minimum (3, 0.5) lies outside the box [-1, 1]^2; the
+    # constrained one is the corner (1, 1), where the projected gradient vanishes
+    f = lambda x: float((x[0] - 3) ** 2 + 2 * (x[1] - 0.5) ** 2 + (x[0] - 3) * (x[1] - 0.5))
+    box = lambda x: np.clip(x, -1.0, 1.0)
+    x, fx, iters, evals, converged = nelder_mead(f, np.zeros(2), budget=400, project=box)
+    assert converged
+    assert np.array_equal(x, [1.0, 1.0])
+    assert fx == pytest.approx(3.5, abs=1e-12)
+    # a disc, as minimize_slack's alpha: the minimum is the point nearest (2, 2)
+    disc = lambda x: x / max(1.0, float(np.hypot(*x)))
+    g = lambda x: float((x[0] - 2) ** 2 + (x[1] - 2) ** 2)
+    x, _, _, _, converged = nelder_mead(g, np.array([0.3, -0.6]), budget=400, project=disc)
+    assert converged
+    assert np.allclose(x, [math.sqrt(0.5)] * 2, atol=1e-9)
+
+
+def test_descent_budget_is_a_hard_cap():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return float((x[0] - 1) ** 2 + 4 * (x[1] + 2) ** 2)
+
+    x0 = np.array([0.5, -0.5])
+    n = x0.size
+    for budget in range(1, 3 * n + 1):
+        calls.clear()
+        x, fx, iters, evals, converged = nelder_mead(f, x0, budget=budget)
+        assert evals == len(calls) <= budget
+        if budget < 1 + 2 * n:  # no room for one gradient: the start comes back
+            assert (iters, evals, converged, fx) == (0, 1, False, f(x0))
+            assert np.array_equal(x, x0)
+        else:
+            assert not converged
+
+
+@pytest.mark.parametrize("start", [[-3.0, 1.0], [1.0, 1.0]])
+def test_descent_treats_a_rejected_point_as_a_barrier(start):
+    # points beyond x0 = 1 are rejected (inf): from (-3, 1) the first steps
+    # overshoot into them and the line search backtracks; from (1, 1) the
+    # forward probe of x0 is rejected and the backward difference stands in
+    rejected = []
+
+    def f(x):
+        rejected.append(x[0] > 1)
+        return math.inf if x[0] > 1 else float(100 * (x[0] - 0.9) ** 2 + x[1] ** 2)
+
+    x, fx, iters, evals, converged = nelder_mead(f, np.array(start), budget=400)
+    assert any(rejected)
+    assert converged
+    assert np.allclose(x, [0.9, 0.0], atol=1e-8)
+    assert fx < 1e-15
+
+
+def test_descent_stops_unconverged_when_both_probes_are_rejected():
+    x0 = np.array([0.3, -0.2])
+    f = lambda x: 0.0 if np.array_equal(x, x0) else math.inf
+    x, fx, iters, evals, converged = nelder_mead(f, x0, budget=400)
+    assert (fx, iters, evals, converged) == (0.0, 0, 1 + 2 * x0.size, False)
+    assert np.array_equal(x, x0)
+    # a rejected start is returned as it is
+    assert nelder_mead(lambda x: math.inf, x0, budget=400)[1:] == (math.inf, 0, 1, False)
+
+
+def test_descent_gives_no_false_certificate():
+    rosenbrock = lambda x: float((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)
+    x, fx, iters, evals, converged = nelder_mead(rosenbrock, np.array([-1.2, 1.0]), budget=60)
+    assert evals <= 60
+    assert not converged
+    assert fx > 1e-3
+    x, fx, iters, evals, converged = nelder_mead(rosenbrock, np.array([-1.2, 1.0]), budget=800)
+    assert converged
+    assert np.allclose(x, [1.0, 1.0], atol=1e-6)
+
+
+def test_minimize_counts_the_calls_of_every_start(monkeypatch):
+    from urlab import analysis
+
+    descend = analysis.nelder_mead
+    seen = []
+
+    def counted(f, x0, **kwargs):
+        out = descend(f, x0, **kwargs)
+        seen.append(out[3])
+        return out
+
+    monkeypatch.setattr(analysis, "nelder_mead", counted)
+    q, p = fock_operators(64)
+    res = minimize_slack("schrodinger", (q, p), 64, budget=60, restarts=3, seed=1)
+    assert len(seen) == 3
+    assert res.evaluations == sum(seen) > max(seen)
+    assert res.truncation_rejects == 0
+    # at dim 16 a start squeezed to r = 0.9 is rejected by the truncation audit,
+    # and the vacuum start wins
+    q, p = fock_operators(16)
+    res = minimize_slack("heisenberg", (q, p), 16, init=[0.5, 0, 0.9, 0], budget=100, restarts=2)
+    assert res.truncation_rejects >= 1
+    assert res.converged and abs(res.slack) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [{"budget": 0}, {"budget": -5}, {"restarts": 0}, {"restarts": -3}])
+def test_minimize_rejects_a_budget_or_restarts_below_one(bad):
+    q, p = fock_operators(16)
+    with pytest.raises(InputError):
+        minimize_slack("heisenberg", (q, p), 16, **bad)
+
+
 def test_minimize_schrodinger_gaussian_family():
     q, p = fock_operators(64)
     res = minimize_slack("schrodinger", (q, p), dim=64, budget=200, restarts=2, seed=1)
@@ -171,12 +279,12 @@ def test_minimize_respects_fixed_slots():
 
 
 # (slack, iterations, evaluations, converged) of one descent per benchmark
-# case at dim 64 from a seeded start, recorded before the hot path was trimmed;
-# a change of any of them means the simplex took a different trajectory
+# case at dim 64 from a seeded start, recorded from the projected quasi-Newton
+# descent; a change of any of them means the descent took a different trajectory
 GOLDEN_DESCENTS = {
-    "coherent_fixed": (1.5987211554602254e-13, 72, 133, True),
-    "extended_schrodinger": (1.5881740367262864e-13, 65, 120, True),
-    "entangled_heisenberg": (4.505840145441198e-12, 137, 254, True),
+    "coherent_fixed": (-9.992007221626409e-16, 3, 38, True),
+    "extended_schrodinger": (-1.942890293094024e-16, 3, 36, True),
+    "entangled_heisenberg": (0.0, 8, 153, True),
 }
 
 
@@ -203,6 +311,28 @@ def test_golden_minimizer_trajectory(case):
         case, fock_operators(64), 64, init=init, budget=800, restarts=1, **kwargs
     )
     assert (res.slack, res.iterations, res.evaluations, res.converged) == GOLDEN_DESCENTS[case]
+
+
+@pytest.mark.parametrize("case", ["coherent_fixed", "extended_schrodinger", "entangled_heisenberg"])
+def test_one_descent_passes_the_benchmark_gate(case):
+    # starts drawn like the gaussian-minimize benchmark's, as in the golden test
+    # above; each must reach the gate (|slack| <= 1e-6, converged) in one descent
+    rng = np.random.default_rng([2027, 102])
+    observables = fock_operators(64)
+    for _ in range(20):
+        kwargs = {}
+        if case == "extended_schrodinger":
+            kwargs = {"fixed_states": {0: coherent_state(_seeded_alpha(rng), 64)}, "free_slots": [1]}
+        init = []
+        for _ in range(2 if case == "entangled_heisenberg" else 1):
+            alpha = _seeded_alpha(rng)
+            r = rng.uniform(0.05, 0.3) * rng.choice((-1, 1))
+            init += [alpha.real, alpha.imag, r, rng.uniform(0, 2 * math.pi)]
+        res = minimize_slack(
+            case, observables, 64, init=init, budget=800, restarts=1, **kwargs
+        )
+        assert abs(res.slack) <= 1e-6 and res.converged, res
+        assert res.evaluations <= 800
 
 
 # ---------------------------------------------------------------------------
