@@ -12,7 +12,7 @@ import numpy as np
 from .catalog import UR_SPECS, _pairwise_extended_sides, evaluate_ur, type_1_2
 from .errors import InputError, TruncationError
 from .linalg import slack_tolerance
-from .model import Observable, PureState, fock_operators, squeezed_state
+from .model import Observable, PureState, _squeeze_edge, fock_operators, squeezed_state
 from .moments import moment_set
 
 _TINY = 1e-300
@@ -91,6 +91,8 @@ class MinimizationResult:
 # differences err by h^2 |f'''| / 6 + eps |f| / h ~ 1e-10 for slacks of order one
 _GRAD_STEP = 1e-5
 _GRAD_TOL = 1e-7
+
+ALPHA_BOX = 1.4  # the largest displacement modulus minimize_slack searches
 
 
 def nelder_mead(f, x0, budget=2000, project=None):
@@ -174,17 +176,16 @@ def minimize_slack(
     budget: int = 400,
     restarts: int = 8,
     seed: int = 0,
-    alpha_max: float = 1.4,
-    r_max: float = 1.0,
     extras: dict | None = None,
 ) -> MinimizationResult:
     """Minimize the slack of a catalog check over displaced squeezed states.
 
     Each free slot contributes four real parameters (Re alpha, Im alpha, r,
-    phi) within the truncation-safe box |alpha| <= `alpha_max`, |r| <= `r_max`,
-    onto which the descent projects; a state the truncation audit still
-    rejects is a barrier. The best of the seeded starts wins and carries its
-    convergence verdict; `evaluations` and `truncation_rejects` count over all.
+    phi; `init` is a first start) within the box |alpha| <= `ALPHA_BOX`,
+    |r| <= min(1, the truncation audit's squeeze edge at alpha = 0 in `dim`),
+    onto which the descent projects; a state the audit still rejects is a
+    barrier. The best of the seeded starts wins and carries its convergence
+    verdict; `evaluations` and `truncation_rejects` count over all.
     """
     spec = UR_SPECS.get(ur_id)
     if spec is None:
@@ -205,12 +206,22 @@ def minimize_slack(
             f"the {n_slots} state slots 0..{n_slots - 1} once each"
         )
 
+    n_par = 4 * len(free_slots)
+    starts = [np.zeros(n_par)]
+    if init is not None:
+        try:
+            starts.insert(0, np.asarray(init, dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"init must be real numbers: {exc}") from exc
+        if starts[0].shape != (n_par,) or not np.isfinite(starts[0]).all():
+            raise InputError(f"init must hold 4 finite reals per free slot, {n_par} in all")
+    r_max = min(1.0, _squeeze_edge(dim, 0.0))
     template = [fixed_states.get(slot) for slot in range(n_slots)]
 
     def project(x: np.ndarray) -> np.ndarray:
         # the nearest point of the box: each alpha scaled into its disc, each r clipped
         v = x.reshape(-1, 4).copy()
-        v[:, :2] *= (alpha_max / np.maximum(np.hypot(v[:, 0], v[:, 1]), alpha_max))[:, None]
+        v[:, :2] *= (ALPHA_BOX / np.maximum(np.hypot(v[:, 0], v[:, 1]), ALPHA_BOX))[:, None]
         v[:, 2] = np.clip(v[:, 2], -r_max, r_max)
         return v.ravel()
 
@@ -235,15 +246,11 @@ def minimize_slack(
             return math.inf
         return evaluate_ur(ur_id, observables, states, **extras).slack
 
-    n_par = 4 * len(free_slots)
-    starts = [np.zeros(n_par)]
-    if init is not None:
-        starts.insert(0, np.asarray(init, dtype=float))
     draws = np.random.default_rng(seed).uniform(
         [-0.6, -0.6, -0.7, 0], [0.6, 0.6, 0.7, 2 * np.pi],
         size=(max(0, restarts - len(starts)), len(free_slots), 4),
     )
-    starts += list((draws * [alpha_max, alpha_max, r_max, 1.0]).reshape(-1, n_par))
+    starts += list((draws * [ALPHA_BOX, ALPHA_BOX, r_max, 1.0]).reshape(-1, n_par))
 
     best = None
     for x0 in starts[:restarts]:
@@ -450,20 +457,24 @@ def gaussian_pair_ensemble(
     dim: int = 64,
     seed: int = 0,
     pool_size: int = 200,
-    alpha_max: float = 1.0,
-    r_max: float = 0.9,
 ):
     """A pool of displaced squeezed states and seeded state pairs drawn from it.
 
-    Returns (x, y, pairs) with (x, y) the quadrature pair at `dim` and
+    Each state has alpha uniform in the unit disc and r uniform with |r| <=
+    min(0.9, the truncation audit's squeeze edge at |alpha| = 1 in `dim`), so
+    every draw passes the audit. Returns (x, y, pairs) with (x, y) the quadrature pair at `dim` and
     `pairs` a list of (state, state) tuples (repeats across pairs are
     intentional so the audit's moment cache is effective).
     """
+    try:
+        r_max = min(0.9, _squeeze_edge(dim, 1.0))
+    except TruncationError as exc:  # |alpha| = 1 fails even unsqueezed
+        raise InputError(f"gaussian_pair_ensemble needs dimension >= {exc.required_dim}") from exc
     rng = np.random.default_rng(seed)
     pool_size = min(pool_size, max(2, n_pairs))
     pool = []
     for _ in range(pool_size):
-        amag = alpha_max * math.sqrt(rng.uniform())
+        amag = math.sqrt(rng.uniform())
         aph = rng.uniform(0, 2 * math.pi)
         alpha = amag * complex(math.cos(aph), math.sin(aph))
         r = rng.uniform(-r_max, r_max)

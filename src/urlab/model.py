@@ -24,7 +24,7 @@ MIN_DIM = 2
 MAX_DIM = 512
 NORM_TOL = 1e-12
 
-# Infinite-tail weight allowed above level N-3 for coherent states.
+# Poisson weight allowed on levels >= N-2 for coherent states.
 COHERENT_TAIL_TOL = 1e-12
 # Weight of the ideal (untruncated) squeezed state allowed on levels >= N-2,
 # from its three-term Fock recurrence. At the admissibility edge (|r| ~ 1 at
@@ -209,50 +209,17 @@ def fock_state(k: int, n: int) -> PureState:
     return PureState(amp)
 
 
-def _poisson_tail_above(lam: float, level: int) -> float:
-    """Weight of Poisson(lam) strictly above `level`; NaN for an infinite lam."""
-    if lam <= 0.0:
-        return 0.0
-    term = math.exp(-lam)
-    cdf = term
-    for k in range(1, level + 1):
-        term *= lam / k
-        cdf += term
-    tail = 1.0 - cdf
-    return 0.0 if tail < 0.0 else tail  # a NaN tail stays NaN
-
-
-def _coherent_required_dim(lam: float, tol: float) -> int | None:
-    term = math.exp(-lam)
-    cdf = term
-    for k in range(1, MAX_DIM + 64):
-        term *= lam / k
-        cdf += term
-        if 1.0 - cdf <= tol:
-            return k + 3 if k + 3 <= MAX_DIM else None
-    return None
-
-
 def coherent_state(alpha: complex, n: int) -> PureState:
     """Glauber coherent state with amplitudes ∝ alpha^k / sqrt(k!), renormalized.
 
-    Requires the Poisson weight above level n-3 to stay below 1e-12; then
-    <q> = √2 Re(alpha), <p> = √2 Im(alpha) and Δq² = Δp² = 1/2 hold to ~1e-9.
+    Requires the Poisson weight on levels >= n-2, the r = 0 case of the
+    squeezed-state audit, to stay below 1e-12; then <q> = √2 Re(alpha),
+    <p> = √2 Im(alpha) and Δq² = Δp² = 1/2 hold to ~1e-9.
     """
     n = _check_dim(n)
     if not cmath.isfinite(alpha):
         raise InputError(f"coherent state amplitude must be finite, got alpha={alpha}")
-    # a product, not ** 2: |alpha| beyond ~1.3e154 then gives inf, not OverflowError
-    lam = abs(alpha) * abs(alpha)
-    tail = _poisson_tail_above(lam, n - 3)
-    if not tail <= COHERENT_TAIL_TOL:  # also rejects the NaN tail of an infinite lam
-        req = _coherent_required_dim(lam, COHERENT_TAIL_TOL)
-        hint = f"; need dimension >= {req}" if req else ""
-        raise TruncationError(
-            f"coherent state |alpha|^2={lam:.4g} has Poisson tail {tail:.3e} above "
-            f"level {n - 3} (limit {COHERENT_TAIL_TOL:g}){hint}",
-            required_dim=req,
-        )
+    _audit_tail(alpha, 0.0, 0.0, n, COHERENT_TAIL_TOL, "coherent state has Poisson tail")
     amp = np.zeros(n, dtype=complex)
     amp[0] = 1.0
     for k in range(1, n):
@@ -292,6 +259,38 @@ def _ideal_tail(alpha: complex, r: float, phi: float, n: int, stop: float = -mat
             break
         prev, cur = cur, (b * cur - t * _SQRT[k] * prev) / _SQRT[k + 1]
     return 1.0 - total
+
+
+def _audit_tail(alpha: complex, r: float, phi: float, n: int, tol: float, what: str) -> None:
+    """The Gaussian family's truncation audit: raise `TruncationError`, opening
+    with `what`, unless `_ideal_tail` is <= `tol`; the hint is the smallest
+    admitted dimension, bisected since the tail is non-increasing in n."""
+    tail = _ideal_tail(alpha, r, phi, n, stop=tol)
+    if tail <= tol:  # a NaN tail from overflowing parameters is rejected everywhere
+        return
+    dims = range(n + 1, MAX_DIM + 1)
+    i = bisect.bisect_left(dims, True, key=lambda d: _ideal_tail(alpha, r, phi, d, stop=tol) <= tol)
+    req = dims[i] if i < len(dims) else None
+    hint = f"; need dimension >= {req}" if req else ""
+    msg = f"{what} {tail:.3e} on levels >= {n - 2} at |alpha|={abs(alpha):.3g}, r={r:.3g}"
+    raise TruncationError(f"{msg} (limit {tol:g}){hint}", required_dim=req)
+
+
+@lru_cache(maxsize=BUILDER_CACHE_SIZE)
+def _squeeze_edge(n: int, alpha: float) -> float:
+    """The largest |r| at which the squeezed-state audit admits displacement
+    modulus `alpha` at every phase; `TruncationError` if r = 0 fails.
+
+    It is bisected at the worst phase, which displaces along the anti-squeezed
+    quadrature: alpha > 0, r < 0, phi = 0 (checked on phase grids, N = 14-512).
+    One step of the 2^-20 grid is given back: across phases the tail's rounding
+    moves the edge by under 1e-8.
+    """
+    n, tol = _check_dim(n), SQUEEZED_TAIL_TOL
+    _audit_tail(alpha, 0.0, 0.0, n, tol, "squeezed state has ideal weight")
+    steps = range(2**23)  # r = k * 2^-20 up to 8, where the weight sits above level 512
+    fails = lambda k: _ideal_tail(alpha, -k / 2**20, 0.0, n, stop=tol) > tol
+    return (bisect.bisect_left(steps, True, key=fails) - 2) / 2**20
 
 
 @lru_cache(maxsize=2 * BUILDER_CACHE_SIZE)  # one entry per (dimension, step)
@@ -356,19 +355,7 @@ def squeezed_state(
     n = _check_dim(n)
     if not (cmath.isfinite(alpha) and math.isfinite(r) and math.isfinite(phi)):
         raise InputError(f"squeezed state parameters must be finite: alpha={alpha}, r={r}, phi={phi}")
-    tail = _ideal_tail(alpha, r, phi, n, stop=tail_tol)
-    if not tail <= tail_tol:  # also rejects a NaN tail from overflowing parameters
-        dims = range(n + 1, MAX_DIM + 1)
-        i = bisect.bisect_left(
-            dims, True, key=lambda d: _ideal_tail(alpha, r, phi, d, stop=tail_tol) <= tail_tol
-        )
-        req = dims[i] if i < len(dims) else None
-        hint = f"; need dimension >= {req}" if req else ""
-        raise TruncationError(
-            f"squeezed state (|alpha|={abs(alpha):.3g}, r={r:.3g}) has ideal weight "
-            f"{tail:.3e} on levels >= {n - 2} (limit {tail_tol:g}){hint}",
-            required_dim=req,
-        )
+    _audit_tail(alpha, r, phi, n, tail_tol, "squeezed state has ideal weight")
     vec = np.zeros(n, dtype=complex)
     vec[0] = 1.0
     if r != 0:

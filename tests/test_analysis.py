@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from urlab.analysis import (
+    ALPHA_BOX,
     compare_precision,
     divergence,
     gaussian_pair_ensemble,
@@ -22,6 +23,7 @@ from urlab.errors import InputError
 from urlab.model import (
     Observable,
     PureState,
+    _squeeze_edge,
     coherent_state,
     fock_operators,
     fock_state,
@@ -211,12 +213,43 @@ def test_minimize_counts_the_calls_of_every_start(monkeypatch):
     assert len(seen) == 3
     assert res.evaluations == sum(seen) > max(seen)
     assert res.truncation_rejects == 0
-    # at dim 16 a start squeezed to r = 0.9 is rejected by the truncation audit,
-    # and the vacuum start wins
+    # at dim 16 the box admits |alpha| = 1.4 at the squeeze edge, but the
+    # truncation audit rejects that start; the vacuum start wins
     q, p = fock_operators(16)
-    res = minimize_slack("heisenberg", (q, p), 16, init=[0.5, 0, 0.9, 0], budget=100, restarts=2)
+    init = [ALPHA_BOX, 0, -_squeeze_edge(16, 0.0), 0]
+    res = minimize_slack("heisenberg", (q, p), 16, init=init, budget=100, restarts=2)
     assert res.truncation_rejects >= 1
     assert res.converged and abs(res.slack) < 1e-12
+
+
+@pytest.mark.parametrize("init", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4] * 2, [0.1, math.nan, 0.3, 0.4],
+                                  [[0.1, 0.2, 0.3, 0.4]], ["a", 0.2, 0.3, 0.4], [1j, 0, 0, 0]])
+def test_minimize_wants_four_finite_reals_per_free_slot(init):
+    q, p = fock_operators(16)
+    with pytest.raises(InputError):
+        minimize_slack("heisenberg", (q, p), 16, init=init, budget=5, restarts=1)
+
+
+@pytest.mark.parametrize("dim", [16, 32, 48, 64])
+def test_minimize_box_follows_the_audit(dim):
+    # |r| <= min(1, the audit's squeeze edge at alpha = 0): unchanged at 64
+    q, p = fock_operators(dim)
+    edge = min(1.0, _squeeze_edge(dim, 0.0))
+    assert (edge == 1.0) == (dim == 64)
+    res = minimize_slack("heisenberg", (q, p), dim, init=[0, 0, 5.0, 0], budget=1, restarts=1)
+    assert res.slots[0].r == edge
+
+
+@pytest.mark.parametrize("dim", [32, 48])
+def test_no_seeded_start_is_rejected_from_dim_32(dim):
+    # a seeded start has |alpha| <= 0.6 ALPHA_BOX and |r| <= 0.7 of the box's
+    # edge, which the audit admits at every phase; at dims 16-24 the alpha
+    # disc itself can still fail
+    assert _squeeze_edge(dim, 0.6 * ALPHA_BOX) >= 0.7 * min(1.0, _squeeze_edge(dim, 0.0))
+    q, p = fock_operators(dim)
+    for seed in range(4):
+        res = minimize_slack("entangled_heisenberg", (q, p), dim, budget=1, restarts=8, seed=seed)
+        assert (res.evaluations, res.truncation_rejects) == (8, 0)
 
 
 @pytest.mark.parametrize("bad", [{"budget": 0}, {"budget": -5}, {"restarts": 0}, {"restarts": -3}])
@@ -380,6 +413,17 @@ def test_compare_incompatible_signatures():
 
 # ---------------------------------------------------------------------------
 # saturation-transfer audit
+
+
+@pytest.mark.parametrize("dim", [14, 16, 24, 32, 48])
+def test_gaussian_pair_ensemble_fits_the_audit(dim):
+    q, p, pairs = gaussian_pair_ensemble(50, dim=dim, seed=0, pool_size=50)
+    assert len(pairs) == 50 and pairs[0][0].dim == q.dim == dim
+
+
+def test_gaussian_pair_ensemble_names_the_smallest_dimension():
+    with pytest.raises(InputError, match="dimension >= 14"):
+        gaussian_pair_ensemble(10, dim=13)
 
 
 def test_saturation_transfer_gaussian_pairs_forward_holds():

@@ -321,13 +321,14 @@ def test_minimize_command(tmp_path):
 
 
 def test_minimize_row_counts_every_start(tmp_path):
-    config = dict(MINIMIZE_TINY, free_slots=[1], budget=5, restarts=3)
+    config = dict(MINIMIZE_TINY, hilbert_dim=8, free_slots=[1], budget=5, restarts=3)
     code, doc = run(tmp_path, "minimize", config)
     assert code == 0
     row = doc["results"][0]
     # 4 parameters: 5 calls leave no room for a gradient, so each start is
-    # evaluated once and none is certified; at dim 16 the truncation audit
-    # rejects both seeded random starts, and the vacuum start wins
+    # evaluated once and none is certified; at dim 8 the box's alpha disc
+    # reaches beyond what the truncation audit admits, it rejects both seeded
+    # random starts, and the vacuum start wins
     assert (row["evaluations"], row["truncation_rejects"], row["converged"]) == (3, 2, False)
 
 

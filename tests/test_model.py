@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from urlab.errors import InputError, TruncationError
 from urlab.model import (
     BUILDER_CACHE_SIZE,
+    COHERENT_TAIL_TOL,
     MAX_DIM,
     SQUEEZED_TAIL_TOL,
     DensityMatrix,
@@ -24,7 +25,7 @@ from urlab.model import (
     quad_plus,
     _annihilation,
     _ideal_tail,
-    _poisson_tail_above,
+    _squeeze_edge,
     sample,
     spin_operators,
     squeezed_state,
@@ -403,9 +404,74 @@ def test_coherent_rejects_huge_amplitude_as_truncation(alpha):
     assert err.value.required_dim is None
 
 
-def test_poisson_tail_of_infinite_mean_is_nan():
-    assert math.isnan(_poisson_tail_above(math.inf, 61))
-    assert _poisson_tail_above(1e300, 61) == 1.0
+def _poisson_tail(lam, n):
+    # plain Poisson(lam) weight on levels >= n-2: the reference for the
+    # coherent-state audit, which runs the squeezed-state recurrence at r = 0
+    term = cdf = math.exp(-lam)
+    for k in range(1, n - 2):
+        term *= lam / k
+        cdf += term
+    return 1.0 - cdf
+
+
+def test_coherent_audit_matches_a_plain_poisson_tail():
+    # the shared recurrence's weights at r = 0 are the Poisson weights; its
+    # verdict may differ from the plain sum's only where the tail lies within
+    # rounding of the limit
+    for n in [3, 4, 5, 8, 13, 24, 40, 64, 100, 181, 256, 377, MAX_DIM]:
+        for amag in np.linspace(0.0, 25.0, 126):
+            alpha = amag * cmath.exp(0.7j * amag)
+            ref = _poisson_tail(amag * amag, n)
+            if abs(ref - COHERENT_TAIL_TOL) <= 1e-3 * COHERENT_TAIL_TOL:
+                continue
+            try:
+                coherent_state(alpha, n)
+                admitted = True
+            except TruncationError as err:
+                admitted = False
+                d = err.required_dim
+                if d is not None:
+                    # the hint is admitted at d and rejected at d - 1
+                    coherent_state(alpha, d)
+                    with pytest.raises(TruncationError):
+                        coherent_state(alpha, d - 1)
+            assert admitted == (ref <= COHERENT_TAIL_TOL), (n, amag, ref)
+
+
+def test_coherent_state_needs_three_levels():
+    # the audit asks for negligible weight on levels >= N-2; at N = 2 that is
+    # every level, as for squeezed_state
+    for build in (lambda: coherent_state(0, 2), lambda: squeezed_state(0, 0, 0, 2)):
+        with pytest.raises(TruncationError) as err:
+            build()
+        assert err.value.required_dim == 3
+    assert coherent_state(0, 3).amplitudes[0] == 1.0
+
+
+@pytest.mark.parametrize(
+    "n,amag", [(n, a) for n in (16, 32, 64, 128) for a in (0.0, 0.5, 1.0, 1.4) if (n, a) != (16, 1.4)]
+)
+def test_squeeze_edge_admits_every_phase(n, amag):
+    edge = _squeeze_edge(n, amag)
+    assert 0 < edge < 8
+    grid = np.linspace(0, 2 * np.pi, 25)
+    for aph in grid:
+        for phi in grid:
+            for r in (edge, -edge):
+                squeezed_state(amag * cmath.exp(1j * aph), r, phi, n)
+    # the worst phase: displaced along the anti-squeezed quadrature
+    with pytest.raises(TruncationError):
+        squeezed_state(amag, -1.001 * edge, 0.0, n)
+
+
+@pytest.mark.parametrize("n,amag,need", [(13, 1.0, 14), (16, 1.4, 17)])
+def test_squeeze_edge_rejects_a_displacement_too_large_unsqueezed(n, amag, need):
+    with pytest.raises(TruncationError) as err:
+        _squeeze_edge(n, amag)
+    assert err.value.required_dim == need
+    assert _squeeze_edge(need, amag) > 0
+    with pytest.raises(InputError):
+        _squeeze_edge(MAX_DIM + 1, 0.0)
 
 
 def test_gaussian_builders_return_frozen_unit_vectors():
