@@ -235,12 +235,23 @@ def minimize_slack(
         return states
 
     calls = rejects = 0
+    # free slot -> (bytes of its 4 parameters, the state last built from them):
+    # a gradient probe moves one slot and leaves the others' floats bit-equal,
+    # so only the moved slot is built again and the others hit the moment memo
+    built: dict = {}
 
     def objective(x: np.ndarray) -> float:
         nonlocal calls, rejects
         calls += 1
+        states = list(template)
         try:
-            states = build_states(x)
+            for slot, row in zip(free_slots, x.reshape(-1, 4)):
+                key = row.tobytes()
+                last = built.get(slot)
+                if last is None or last[0] != key:
+                    a, b, r, phi = row.tolist()
+                    last = built[slot] = (key, squeezed_state(complex(a, b), r, phi, dim))
+                states[slot] = last[1]
         except TruncationError:
             rejects += 1
             return math.inf

@@ -17,13 +17,12 @@ from .model import DensityMatrix, Observable, PureState, QuantumState, state_dim
 RESIDUE_TOL = 1e-10
 VARIANCE_FLOOR = -1e-12
 
-# Observable tuples whose products each state keeps, oldest dropped first. A
+# Observable tuples whose moment sets each state keeps, oldest dropped first. A
 # check request applies every listed check to one observable tuple and its
 # one- and two-observable sub-tuples; a fixed minimiser slot meets one tuple.
 MEMO_SIZE = 4
-# The attribute under which a state keeps its memo, {observable tuple: (rows,
-# complex means, M)}, in its instance dict as `digest` is kept: it dies with
-# the state.
+# The attribute under which a state keeps its memo, {observable tuple:
+# MomentSet}, in its instance dict as `digest` is kept: it dies with the state.
 _MEMO_ATTR = "_moment_memo"
 
 
@@ -110,34 +109,10 @@ def _raw_moments(mats: list[np.ndarray], state: QuantumState):
     return None, np.array([np.trace(lj) for lj in left]), m2
 
 
-def _memo_moments(observables: tuple, state: QuantumState):
-    """``_raw_moments`` of a validated observable tuple in a state, computed
-    once per state and tuple and returned read-only.
-
-    The memo holds the last MEMO_SIZE tuples per state, keyed by the
-    observable objects themselves (they are immutable), and is collected
-    with the state. A hit returns the arrays the miss computed.
-    """
-    memo = state.__dict__.setdefault(_MEMO_ATTR, {})
-    hit = memo.get(observables)
-    if hit is not None:
-        return hit
-    out = rows, means, m2 = _raw_moments([o.matrix for o in observables], state)
-    # setflags(False) is setflags(write=False) without the keyword's parsing cost
-    if rows is not None:
-        rows.setflags(False)
-    means.setflags(False)
-    m2.setflags(False)
-    if len(memo) >= MEMO_SIZE:
-        del memo[next(iter(memo))]
-    memo[observables] = out
-    return out
-
-
 def second_moment_matrix(observables, state: QuantumState) -> np.ndarray:
-    """Matrix of raw second moments M_jk = <X_j X_k> in the given state,
-    without the audits of moment_set; read-only, shared with moment_set."""
-    return _memo_moments(_checked_observables(observables, state), state)[2]
+    """Matrix of raw second moments M_jk = <X_j X_k> in the given state: the
+    read-only ``m2`` of moment_set, whose audits it runs."""
+    return moment_set(observables, state).m2
 
 
 def moment_set(observables, state: QuantumState) -> MomentSet:
@@ -146,11 +121,19 @@ def moment_set(observables, state: QuantumState) -> MomentSet:
     from, so that ``comm`` reads mean commutators without new products.
 
     Works for pure states (via <psi|..|psi>) and density matrices (via
-    Tr(rho ..)). The products come from the per-state memo; the audits run
-    on every call, and imaginary residues beyond roundoff raise NumericError.
-    Every array of the result is read-only.
+    Tr(rho ..)); imaginary residues beyond roundoff and negative variances
+    raise NumericError. The result is memoised per state: each state keeps
+    the last MEMO_SIZE tuples, keyed by the observable objects themselves
+    (they are immutable), and its memo is collected with it. A hit returns
+    the MomentSet the miss built and audited, so every array of it is
+    read-only; a failed audit memoises nothing.
     """
-    rows, means_c, m2 = _memo_moments(_checked_observables(observables, state), state)
+    observables = _checked_observables(observables, state)
+    memo = state.__dict__.setdefault(_MEMO_ATTR, {})
+    hit = memo.get(observables)
+    if hit is not None:
+        return hit
+    rows, means_c, m2 = _raw_moments([o.matrix for o in observables], state)
     means = _audit_real(means_c, "observable means")
     # both terms are exactly symmetric, so sigma needs no symmetrizing pass
     sym = (m2 + m2.T) / 2
@@ -160,9 +143,14 @@ def moment_set(observables, state: QuantumState) -> MomentSet:
     min_var = sigma.diagonal().min()
     if min_var < VARIANCE_FLOOR and min_var < VARIANCE_FLOOR * max(1.0, np.abs(sigma).max()):
         raise NumericError(f"negative variance {min_var:.3e}")
-    sigma.setflags(False)
-    cmat.setflags(False)
-    return MomentSet(means=means, sigma=sigma, cmat=cmat, m2=m2, rows=rows)
+    # setflags(False) is setflags(write=False) without the keyword's parsing cost
+    for a in (rows, means, sigma, cmat, m2):
+        if a is not None:
+            a.setflags(False)
+    if len(memo) >= MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[observables] = out = MomentSet(means=means, sigma=sigma, cmat=cmat, m2=m2, rows=rows)
+    return out
 
 
 def robertson_matrix(observables, state: QuantumState) -> GramUR:
@@ -196,9 +184,9 @@ def _pure_amplitudes(states) -> list[np.ndarray]:
 
 
 def _memo_hit(observables, states):
-    """The memoised products of the tuple when one PureState fills every slot
-    of ``states`` and its memo holds them, else None; a Gram construction
-    reads the memo but does not fill it."""
+    """The memoised MomentSet of the tuple when one PureState fills every slot
+    of ``states`` and its memo holds it, else None; a Gram construction reads
+    the memo but does not fill it."""
     first = states[0]
     memo = first.__dict__.get(_MEMO_ATTR) if isinstance(first, PureState) else None
     if memo is None or not all(s is first for s in states):
@@ -228,7 +216,7 @@ def gram_centered(observables, states) -> GramUR:
             raise InputError("observables and states must share one dimension")
     hit = _memo_hit(observables, states)
     if hit is not None:
-        rows, means, _ = hit
+        rows, means = hit.rows, hit.means
     else:
         rows = [obs.matrix @ st.amplitudes for obs, st in zip(observables, states)]
         means = [np.vdot(st.amplitudes, v) for st, v in zip(states, rows)]
@@ -254,7 +242,7 @@ def gram_raw(observables, states) -> GramUR:
             raise InputError("observables and states must share one dimension")
     hit = _memo_hit(observables, states)
     if hit is not None:
-        vecs = hit[0]
+        vecs = hit.rows
     else:
         vecs = [obs.matrix @ amp for obs, amp in zip(observables, amps)]
     return GramUR("raw", gram(vecs), tuple([o.name for o in observables]))

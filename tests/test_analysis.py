@@ -222,6 +222,79 @@ def test_minimize_counts_the_calls_of_every_start(monkeypatch):
     assert res.converged and abs(res.slack) < 1e-12
 
 
+def test_objective_builds_only_the_slots_that_moved(monkeypatch):
+    from urlab import analysis
+
+    build, descend = analysis.squeezed_state, analysis.nelder_mead
+    builds, calls = [], []
+
+    def counted_build(alpha, r, phi, dim):
+        builds.append((alpha, r, phi))
+        return build(alpha, r, phi, dim)
+
+    def recorded(f, x0, **kwargs):
+        def objective(x):
+            before = len(builds)
+            value = f(x)
+            calls.append((x.copy(), builds[before:]))
+            return value
+
+        return descend(objective, x0, **kwargs)
+
+    monkeypatch.setattr(analysis, "squeezed_state", counted_build)
+    monkeypatch.setattr(analysis, "nelder_mead", recorded)
+    init = [0.4, -0.3, 0.2, 1.0, -0.5, 0.1, -0.15, 2.0]
+    res = minimize_slack("entangled_heisenberg", fock_operators(64), 64, init=init,
+                         budget=800, restarts=1)
+    assert res.converged and res.truncation_rejects == 0
+    assert len(calls) == res.evaluations
+    # each call builds exactly the slots whose four floats differ, bit for bit,
+    # from those of that slot's last build, in slot order
+    last = [None, None]
+    for x, built in calls:
+        want = []
+        for k, row in enumerate(x.reshape(2, 4)):
+            if last[k] is None or last[k].tobytes() != row.tobytes():
+                want.append((complex(row[0], row[1]), row[2], row[3]))
+                last[k] = row
+        assert built == want
+    # a gradient probe moves one slot: it builds that slot, and the other one
+    # only when the call before it had moved that other slot
+    assert sum(len(b) == 1 for _, b in calls) > 0.7 * len(calls)
+    # the final report builds both slots once more
+    assert len(builds) == sum(len(b) for _, b in calls) + 2 < 2 * res.evaluations
+
+
+def test_a_rejected_slot_is_counted_on_every_call(monkeypatch):
+    from urlab import analysis
+
+    build = analysis.squeezed_state
+    builds = []
+
+    def counted_build(alpha, r, phi, dim):
+        builds.append(r)
+        return build(alpha, r, phi, dim)
+
+    # slot 0 is the vacuum; slot 1 is a start the dim-16 audit rejects
+    rejected = [ALPHA_BOX, 0.0, -_squeeze_edge(16, 0.0), 0.0]
+    x0 = np.array([0.0, 0.0, 0.0, 0.0] + rejected)
+    moved = x0 + np.eye(8)[1] * 1e-3
+
+    def descent(f, x, **kwargs):
+        values = [f(x0), f(x0), f(moved), f(x0)]
+        assert values == [math.inf] * 4
+        return np.zeros(8), 0.0, 0, 4, False
+
+    monkeypatch.setattr(analysis, "squeezed_state", counted_build)
+    monkeypatch.setattr(analysis, "nelder_mead", descent)
+    q, p = fock_operators(16)
+    res = minimize_slack("entangled_heisenberg", (q, p), 16, init=x0, budget=10, restarts=1)
+    assert (res.evaluations, res.truncation_rejects) == (4, 4)
+    # slot 0 is built at x0, at `moved` and at x0 again; slot 1 is audited on
+    # every call; the final report builds both slots once more
+    assert builds.count(0.0) == 3 + 2 and builds.count(rejected[2]) == 4
+
+
 @pytest.mark.parametrize("init", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4] * 2, [0.1, math.nan, 0.3, 0.4],
                                   [[0.1, 0.2, 0.3, 0.4]], ["a", 0.2, 0.3, 0.4], [1j, 0, 0, 0]])
 def test_minimize_wants_four_finite_reals_per_free_slot(init):

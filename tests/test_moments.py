@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from urlab import moments
-from urlab.errors import InputError
+from urlab.errors import InputError, NumericError
 from urlab.linalg import gram
 from urlab.model import (
     DensityMatrix,
@@ -439,11 +439,47 @@ def test_collected_state_drops_its_memo_entries():
     obs = fock_operators(16)
     psi = coherent_state(0.5, 16)
     ms = moment_set(obs, psi)
-    assert _memo(psi)[obs][0] is ms.rows
+    assert _memo(psi)[obs] is ms
     refs = [weakref.ref(psi), weakref.ref(ms.rows), weakref.ref(ms.m2)]
     del psi, ms
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+def test_memo_hit_returns_the_audited_moment_set(monkeypatch):
+    audits = []
+    audit_real = moments._audit_real
+
+    def counting(values, what):
+        audits.append(what)
+        return audit_real(values, what)
+
+    monkeypatch.setattr(moments, "_audit_real", counting)
+    rng = np.random.default_rng(24)
+    obs = rand_observables(rng, 2, 7)
+    for st in (rand_pure(rng, 7), rand_density(rng, 7)):
+        audits.clear()
+        ms = moment_set(obs, st)
+        assert len(audits) == 3
+        assert moment_set(obs, st) is ms
+        assert second_moment_matrix(obs, st) is ms.m2
+        assert len(audits) == 3
+
+
+def test_failed_audit_memoises_nothing(monkeypatch):
+    raw_moments = moments._raw_moments
+
+    def complex_mean(mats, state):
+        rows, means, m2 = raw_moments(mats, state)
+        return rows, means + 1e-6j, m2
+
+    monkeypatch.setattr(moments, "_raw_moments", complex_mean)
+    obs = fock_operators(16)
+    psi = coherent_state(0.3, 16)
+    for _ in range(3):
+        with pytest.raises(NumericError, match="observable means"):
+            moment_set(obs, psi)
+        assert obs not in vars(psi).get(moments._MEMO_ATTR, {})
 
 
 def test_moment_set_arrays_are_read_only():
