@@ -9,10 +9,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import UR_SPECS, _pairwise_extended_sides, evaluate_ur, type_1_2
+from .catalog import UR_SPECS, _pairwise_extended_sides, _schrodinger_sides, evaluate_ur, type_1_2
+from .catalog import slack_derivatives
 from .errors import InputError, TruncationError
 from .linalg import slack_tolerance
-from .model import Observable, PureState, _squeeze_edge, fock_operators, squeezed_state
+from .model import Observable, PureState, fock_operators, squeezed_state
+from .model import _displacement_edge, _squeeze_edge, _squeezed_tangents
 from .moments import moment_set
 
 _TINY = 1e-300
@@ -83,14 +85,12 @@ class MinimizationResult:
     tol: float
     iterations: int
     evaluations: int
+    gradients: int
     converged: bool
     truncation_rejects: int
 
 
-# probe step, and the projected-gradient norm that certifies a minimum: central
-# differences err by h^2 |f'''| / 6 + eps |f| / h ~ 1e-10 for slacks of order one
-_GRAD_STEP = 1e-5
-_GRAD_TOL = 1e-7
+_GRAD_TOL, _F_NOISE = 1e-7, 1e-13  # the certificate; a slack of order one's rounding floor
 
 ALPHA_BOX = 1.4  # the largest displacement modulus minimize_slack searches
 
@@ -100,42 +100,36 @@ def nelder_mead(f, x0, budget=2000, project=None):
     onto which `project` maps (all of R^n when None); returns
     (x, f(x), iterations, evaluations, converged).
 
-    Each iteration takes a central-difference gradient g and steps along the
-    projected path x(t) = P(x - t H g), H the BFGS inverse-Hessian estimate,
-    halving t from 1 until f(x(t)) <= f(x) + 1e-4 g.(x(t) - x) (Armijo), as
-    in Bertsekas (SIAM J. Control Optim. 20, 1982); H is reset once when no
-    step is accepted. `converged` means |x - P(x - g)| <= 1e-7, a first-order
-    certificate of a minimum over the set. `budget` caps the calls of `f`,
-    probes included: a gradient is taken only when its 2n probes fit. A
-    non-finite value is a barrier: the search backtracks from it, a probe
-    meeting it leaves the one-sided difference, and with both sides rejected
-    the descent stops unconverged.
+    `f(x)` returns the value and a no-argument callable for the gradient at
+    x (None where the value is not finite), called only at accepted points.
+    Each iteration steps along the projected path x(t) = P(x - t H g), H the
+    BFGS inverse-Hessian estimate, halving t from 1 until f(x(t)) <= f(x) +
+    1e-4 g.(x(t) - x) + 2e-13 max(1, |f(x)|): Armijo's test as in Bertsekas
+    (SIAM J. Control Optim. 20, 1982), relaxed by twice the rounding floor of
+    f (Berahas, Byrd & Nocedal, SIAM J. Optim. 29, 2019) so that the exact
+    gradient can move it across values that rounding cannot order. H is reset
+    once when no step is accepted. `converged` means |x - P(x - g)| <= 1e-7,
+    a first-order certificate of a minimum over the set. `budget` caps the
+    evaluations: 1 per value and 2n per gradient (the probes of a central
+    difference), a gradient taken only when those fit. A non-finite value is
+    a barrier: the line search backtracks from it.
 
     The benchmark's tracer wraps this module global by name to count the
     objective calls, and `minimize_slack` calls it through that global once
-    per start, so it keeps its historical name until the benchmark renames
-    that layer.
+    per start, so it keeps its historical name until the benchmark renames it.
     """
     project = project or (lambda x: x)
     x = project(np.asarray(x0, dtype=float))
     n = x.size
-    probes = _GRAD_STEP * np.eye(n)
-    fx, evals, iterations, h_inv = f(x), 1, 0, None
+    (fx, grad), evals, iterations, h_inv = f(x), 1, 0, None
 
-    def gradient(x, fx):
+    def gradient(fx, grad):  # None when the value is not finite or the budget is spent
         nonlocal evals
-        if not math.isfinite(fx) or evals + 2 * n > budget:
-            return None
-        evals += 2 * n
-        fp = np.array([f(x + e) for e in probes])
-        fm = np.array([f(x - e) for e in probes])
-        ok_p, ok_m = np.isfinite(fp), np.isfinite(fm)
-        if not (ok_p | ok_m).all():
-            return None
-        width = _GRAD_STEP * (ok_p.astype(float) + ok_m)
-        return (np.where(ok_p, fp, fx) - np.where(ok_m, fm, fx)) / width
+        if math.isfinite(fx) and evals + 2 * n <= budget:
+            evals += 2 * n
+            return grad()
 
-    g = gradient(x, fx)
+    g = gradient(fx, grad)
     while g is not None:
         if np.linalg.norm(x - project(x - g)) <= _GRAD_TOL:
             return x, fx, iterations, evals, True
@@ -145,8 +139,8 @@ def nelder_mead(f, x0, budget=2000, project=None):
             decrease = float(g @ (xt - x))
             t *= 0.5
             if decrease < 0 and evals < budget:
-                ft, evals = f(xt), evals + 1
-                if ft <= fx + 1e-4 * decrease:
+                (ft, grad), evals = f(xt), evals + 1
+                if ft <= fx + 1e-4 * decrease + 2 * _F_NOISE * max(1.0, abs(fx)):
                     break
         else:
             if h_inv is None:
@@ -154,7 +148,7 @@ def nelder_mead(f, x0, budget=2000, project=None):
             h_inv = None
             continue
         iterations += 1
-        g_new = gradient(xt, ft)
+        g_new = gradient(ft, grad)
         if g_new is not None:
             s, y = xt - x, g_new - g
             sy = float(s @ y)
@@ -181,11 +175,15 @@ def minimize_slack(
     """Minimize the slack of a catalog check over displaced squeezed states.
 
     Each free slot contributes four real parameters (Re alpha, Im alpha, r,
-    phi; `init` is a first start) within the box |alpha| <= `ALPHA_BOX`,
-    |r| <= min(1, the truncation audit's squeeze edge at alpha = 0 in `dim`),
-    onto which the descent projects; a state the audit still rejects is a
-    barrier. The best of the seeded starts wins and carries its convergence
-    verdict; `evaluations` and `truncation_rejects` count over all.
+    phi; `init` is a first start) within the box |r| <= r_max = min(1, the
+    truncation audit's squeeze edge at alpha = 0 in `dim`) and |alpha| <=
+    `ALPHA_BOX` (from dim 40; below it, as far as the audit admits every
+    seeded start), onto which the descent projects; a state the audit still
+    rejects is a barrier. The gradient is exact: the states' tangents
+    (`model._squeezed_tangents`) through the check's own formula
+    (`catalog.slack_derivatives`). The best start wins and carries its
+    convergence verdict; `evaluations` (1 per value, 2n per gradient),
+    `gradients` and `truncation_rejects` count over all.
     """
     spec = UR_SPECS.get(ur_id)
     if spec is None:
@@ -216,52 +214,52 @@ def minimize_slack(
         if starts[0].shape != (n_par,) or not np.isfinite(starts[0]).all():
             raise InputError(f"init must hold 4 finite reals per free slot, {n_par} in all")
     r_max = min(1.0, _squeeze_edge(dim, 0.0))
+    reach = math.hypot(0.6, 0.6)  # a seeded start's largest |alpha| / a_max; |r| <= 0.7 r_max
+    a_max = min(ALPHA_BOX, _displacement_edge(dim, 0.7 * r_max, reach * ALPHA_BOX) / reach)
     template = [fixed_states.get(slot) for slot in range(n_slots)]
 
     def project(x: np.ndarray) -> np.ndarray:
         # the nearest point of the box: each alpha scaled into its disc, each r clipped
         v = x.reshape(-1, 4).copy()
-        v[:, :2] *= (ALPHA_BOX / np.maximum(np.hypot(v[:, 0], v[:, 1]), ALPHA_BOX))[:, None]
+        v[:, :2] *= (a_max / np.maximum(np.hypot(v[:, 0], v[:, 1]), a_max))[:, None]
         v[:, 2] = np.clip(v[:, 2], -r_max, r_max)
         return v.ravel()
 
     def slot_params(x: np.ndarray) -> list[GaussianParams]:
         return [GaussianParams(complex(a, b), r, phi) for a, b, r, phi in x.reshape(-1, 4).tolist()]
 
-    def build_states(x: np.ndarray):
+    def build_states(params: list[GaussianParams]):
         states = list(template)
-        for slot, par in zip(free_slots, slot_params(x)):
+        for slot, par in zip(free_slots, params):
             states[slot] = squeezed_state(par.alpha, par.r, par.phi, dim)
         return states
 
-    calls = rejects = 0
-    # free slot -> (bytes of its 4 parameters, the state last built from them):
-    # a gradient probe moves one slot and leaves the others' floats bit-equal,
-    # so only the moved slot is built again and the others hit the moment memo
-    built: dict = {}
+    calls = rejects = gradients = 0
 
-    def objective(x: np.ndarray) -> float:
+    def objective(x: np.ndarray):
         nonlocal calls, rejects
         calls += 1
-        states = list(template)
+        params = slot_params(x)
         try:
-            for slot, row in zip(free_slots, x.reshape(-1, 4)):
-                key = row.tobytes()
-                last = built.get(slot)
-                if last is None or last[0] != key:
-                    a, b, r, phi = row.tolist()
-                    last = built[slot] = (key, squeezed_state(complex(a, b), r, phi, dim))
-                states[slot] = last[1]
+            states = build_states(params)
         except TruncationError:
             rejects += 1
-            return math.inf
-        return evaluate_ur(ur_id, observables, states, **extras).slack
+            return math.inf, None
+
+        def gradient() -> np.ndarray:
+            nonlocal gradients
+            gradients += 1
+            tangents = {k: _squeezed_tangents(p.alpha, p.r, p.phi, states[k].amplitudes)
+                        for k, p in zip(free_slots, params)}
+            return slack_derivatives(ur_id, observables, states, tangents, extras)
+
+        return evaluate_ur(ur_id, observables, states, **extras).slack, gradient
 
     draws = np.random.default_rng(seed).uniform(
         [-0.6, -0.6, -0.7, 0], [0.6, 0.6, 0.7, 2 * np.pi],
         size=(max(0, restarts - len(starts)), len(free_slots), 4),
     )
-    starts += list((draws * [ALPHA_BOX, ALPHA_BOX, r_max, 1.0]).reshape(-1, n_par))
+    starts += list((draws * [a_max, a_max, r_max, 1.0]).reshape(-1, n_par))
 
     best = None
     for x0 in starts[:restarts]:
@@ -269,14 +267,15 @@ def minimize_slack(
         if best is None or fb < best[1]:
             best = (xb, fb, iters, conv)
     xb, _, iters, conv = best
-    report = evaluate_ur(ur_id, observables, build_states(xb), **extras)
+    report = evaluate_ur(ur_id, observables, build_states(slot_params(xb)), **extras)
     return MinimizationResult(
         ur_id=ur_id,
         slots=tuple(slot_params(xb)),
         slack=report.slack,
         tol=report.tol,
         iterations=iters,
-        evaluations=calls,
+        evaluations=calls + 2 * n_par * gradients,
+        gradients=gradients,
         converged=conv,
         truncation_rejects=rejects,
     )
@@ -430,9 +429,8 @@ def saturation_transfer_audit(
         key = id(state)
         if key not in cache:
             ms = moment_set((x, y), state)
-            comm = ms.comm(0, 1)
-            sur = ms.sigma[0, 0] * ms.sigma[1, 1] - ms.sigma[0, 1] ** 2 - abs(comm) ** 2 / 4
-            cache[key] = (ms, comm, float(sur))
+            lhs, rhs = _schrodinger_sides((ms,), {})
+            cache[key] = (ms, float(lhs - rhs))
         return cache[key]
 
     violations = []
@@ -441,9 +439,9 @@ def saturation_transfer_audit(
     best_gap = 100.0 * eps_prime
     size = 0
     for idx, (s1, s2) in enumerate(pairs):
-        ms1, c1, sur1 = stats(s1)
-        ms2, c2, sur2 = stats(s2)
-        lhs, rhs = _pairwise_extended_sides([ms1, ms2], [c1, c2])
+        ms1, sur1 = stats(s1)
+        ms2, sur2 = stats(s2)
+        lhs, rhs = _pairwise_extended_sides((ms1, ms2))
         slack = lhs - rhs
         size += 1
         if slack <= epsilon:

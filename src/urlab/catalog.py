@@ -20,7 +20,15 @@ from . import linalg
 from .errors import InputError, NumericError
 from .linalg import slack_scale, slack_tolerance
 from .model import DensityMatrix, Observable, PureState, QuantumState
-from .moments import GramUR, MomentSet, gram_centered, gram_raw, moment_set, robertson_matrix
+from .moments import (
+    GramUR,
+    MomentSet,
+    gram_centered,
+    gram_raw,
+    moment_set,
+    moment_tangent,
+    robertson_matrix,
+)
 
 
 class _LazyDigest:
@@ -122,8 +130,11 @@ def _report(ur_id, n, m, lhs, rhs, digest) -> URReport:
     )
 
 
-def _real_audited(z: complex, what: str) -> float:
-    if abs(z.imag) > 1e-10 * max(1.0, abs(z)):
+def _real_audited(z, what: str):
+    """The real part of a product of mean commutators, after auditing that its
+    imaginary part is roundoff. A record stacked over tangent directions moves
+    a record whose values passed this audit, and is not audited again."""
+    if z.ndim == 0 and abs(z.imag) > 1e-10 * max(1.0, abs(z)):
         raise NumericError(f"imaginary residue {z.imag:.3e} in {what}")
     return z.real
 
@@ -135,34 +146,193 @@ def _require_pure(states) -> None:
 
 
 # ---------------------------------------------------------------------------
+# records and sides
+#
+# Each check gathers a record and applies one formula to it, sides(record,
+# extras) -> (lhs, rhs). The record holds the MomentSet of each state slot, and
+# for the (1,2) and (2,2) checks the cross-state inner product after them.
+# Every formula indexes the record's arrays from the front, so it also reads a
+# record whose arrays carry a stack of tangent directions on their last axis:
+# `slack_derivatives` evaluates the same formulas on such a record.
+
+
+def _gather(observables, states, cross: str | None = None) -> tuple:
+    """The record of a check: moment_set of the observable tuple in each state;
+    with ``cross`` "a" or "b", the (1,2)/(2,2) record: X (the first observable)
+    in psi1, Y (the last) in psi2, and <u1|u2> with u1 = X|psi1>, u2 = Y|psi2>,
+    centred by their means for "a"."""
+    if cross is None:
+        return tuple([moment_set(observables, s) for s in states])
+    psi1, psi2 = states
+    ms1 = moment_set(observables[:1], psi1)
+    ms2 = moment_set(observables[-1:], psi2)
+    return ms1, ms2, np.vdot(_cross_vector(ms1, psi1, cross), _cross_vector(ms2, psi2, cross))
+
+
+def _cross_vector(ms: MomentSet, psi: PureState, cross: str) -> np.ndarray:
+    """u = X|psi> of a (1,2)/(2,2) record, centred by <X> for variant "a"."""
+    return ms.rows[0] - ms.means[0] * psi.amplitudes if cross == "a" else ms.rows[0]
+
+
+def _check(ur_id: str, observables, states, **extras) -> URReport:
+    """Gather the record of a UR_SPECS check, apply its sides and report; the
+    extras' values join the digest in order."""
+    spec = UR_SPECS[ur_id]
+    lhs, rhs = spec.sides(_gather(observables, states, spec.cross), extras)
+    digest = _digest(ur_id, observables, states, extras.values())
+    return _report(ur_id, len(observables), len(states), lhs, rhs, digest)
+
+
+def _matrixwise(f, a: np.ndarray):
+    """f of a matrix, or an array of f over a stack of matrices a[:, :, k]."""
+    if a.ndim == 2:
+        return f(a)
+    return np.array([f(a[:, :, k]) for k in range(a.shape[2])])
+
+
+def _heisenberg_sides(record, extras):
+    (ms,) = record
+    return ms.sigma[0, 0] * ms.sigma[1, 1], abs(ms.comm(0, 1)) ** 2 / 4
+
+
+def _schrodinger_sides(record, extras):
+    (ms,) = record
+    lhs = ms.sigma[0, 0] * ms.sigma[1, 1] - ms.sigma[0, 1] ** 2
+    return lhs, abs(ms.comm(0, 1)) ** 2 / 4
+
+
+def _robertson_sides(record, extras):
+    (ms,) = record
+    return _matrixwise(np.linalg.det, ms.sigma), _matrixwise(np.linalg.det, ms.cmat)
+
+
+def _characteristic_sides(record, extras):
+    (ms,) = record
+    r = extras.get("r", ms.means.shape[0])
+    coeff = lambda m: linalg.char_coeffs(m)[r - 1]
+    return _matrixwise(coeff, ms.sigma), _matrixwise(coeff, ms.cmat)
+
+
+def _type_2_1_sides(record, extras):
+    (ms,) = record
+    lhs = (ms.sigma[0, 0] + ms.means[0] ** 2) * (ms.sigma[1, 1] + ms.means[1] ** 2)
+    comm = abs(ms.comm(0, 1)) ** 2 / 4
+    return lhs, (ms.sigma[0, 1] + ms.means[0] * ms.means[1]) ** 2 + comm
+
+
+def _type_3_1_sides(record, extras):
+    (ms,) = record
+    lhs = ms.sigma[0, 0] * (ms.sigma[1, 1] + ms.sigma[2, 2])
+    prod = ms.comm(0, 2) * ms.comm(1, 0)
+    rhs = 2 * ms.sigma[0, 1] * ms.sigma[0, 2] + _real_audited(prod, "(3,1) commutator product") / 2
+    return lhs, rhs
+
+
+def _coherent_fixed_sides(record, extras):
+    (ms,) = record
+    return ms.sigma[0, 0] + ms.sigma[1, 1], 1.0
+
+
+def _centered_cross_sides(record, extras):
+    ms1, ms2, cross = record
+    return ms1.sigma[0, 0] * ms2.sigma[0, 0], abs(cross) ** 2
+
+
+def _raw_cross_sides(record, extras):
+    ms1, ms2, cross = record
+    mx1, my2 = ms1.means[0], ms2.means[0]
+    return (ms1.sigma[0, 0] + mx1 * mx1) * (ms2.sigma[0, 0] + my2 * my2), abs(cross) ** 2
+
+
+def _pairwise_extended_sides(record, extras=None):
+    """Pairwise-symmetrized sides of the state-extended Schrödinger check over
+    the record's states."""
+    comms = [ms.comm(0, 1) for ms in record]
+    lhs = 0.0
+    rhs = 0.0
+    m = len(record)
+    for i in range(m):
+        for j in range(i + 1, m):
+            a, b = record[i], record[j]
+            lhs += 0.5 * (a.sigma[0, 0] * b.sigma[1, 1] + b.sigma[0, 0] * a.sigma[1, 1])
+            lhs -= a.sigma[0, 1] * b.sigma[0, 1]
+            prod = comms[i] * np.conj(comms[j])
+            rhs += _real_audited(prod, "commutator product") / 4
+    return lhs, rhs
+
+
+def _entangled_heisenberg_sides(record, extras):
+    ms1, ms2 = record
+    lhs = 0.5 * (ms1.sigma[0, 0] * ms2.sigma[1, 1] + ms2.sigma[0, 0] * ms1.sigma[1, 1])
+    return lhs, abs(ms1.comm(0, 1) * ms2.comm(0, 1)) / 4
+
+
+# step of the central difference in record space: exact up to rounding (about
+# 1e-16 / step relative) for formulas of degree <= 2 in the record, and off by
+# step^2 |third derivative| / 6 for the others
+_RECORD_STEP = 1e-5
+
+
+def _line(base, tangent: np.ndarray) -> np.ndarray:
+    """base + step t and then base - step t for each tangent t of the last axis."""
+    return np.asarray(base)[..., None] + np.concatenate([tangent, -tangent], axis=-1) * _RECORD_STEP
+
+
+def slack_derivatives(ur_id: str, observables, states, tangents: dict, extras: dict) -> np.ndarray:
+    """Derivatives of a UR_SPECS check's slack lhs - rhs at pure ``states``
+    along state tangents.
+
+    ``tangents`` maps state slots to arrays whose rows are tangent vectors
+    d psi of that slot's amplitudes; the result holds one derivative per row,
+    slot by slot. The record is gathered again, a memo hit once the check has
+    run on these states. For each slot, its MomentSet and the cross term are
+    moved to first order along every direction (`moments.moment_tangent`),
+    and the check's own sides formula is applied to the record stacked at
+    +step and -step. No state is built and no check is reported.
+    """
+    spec = UR_SPECS[ur_id]
+    observables = tuple(observables)
+    record = _gather(observables, states, spec.cross)
+    out = []
+    for slot, dpsi in tangents.items():
+        ms, psi = record[slot], states[slot].amplitudes
+        obs = observables if spec.cross is None else (observables[:1], observables[-1:])[slot]
+        dms, drows = moment_tangent(obs, ms, psi, dpsi)
+        moved = list(record)
+        moved[slot] = MomentSet(_line(ms.means, dms.means), _line(ms.sigma, dms.sigma),
+                                _line(ms.cmat, dms.cmat), _line(ms.m2, dms.m2), rows=None)
+        if spec.cross is not None:
+            # d<u1|u2> with u = X psi, centred for "a": du = X dpsi - d<X> psi - <X> dpsi
+            du = drows[0]
+            if spec.cross == "a":
+                du = du - np.outer(dms.means[0], psi) - ms.means[0] * dpsi
+            v = _cross_vector(record[1 - slot], states[1 - slot], spec.cross)
+            moved[2] = _line(record[2], du.conj() @ v if slot == 0 else du @ v.conj())
+        lhs, rhs = spec.sides(tuple(moved), extras)
+        f = lhs - rhs
+        out.append((f[: len(dpsi)] - f[len(dpsi) :]) / (2 * _RECORD_STEP))
+    return np.concatenate(out)
+
+
+# ---------------------------------------------------------------------------
 # one-state checks
 
 
 def heisenberg(x: Observable, y: Observable, state: QuantumState) -> URReport:
     """ΔX²ΔY² >= |<[X,Y]>|²/4."""
-    ms = moment_set((x, y), state)
-    lhs = ms.sigma[0, 0] * ms.sigma[1, 1]
-    rhs = abs(ms.comm(0, 1)) ** 2 / 4
-    return _report("heisenberg", 2, 1, lhs, rhs, _digest("heisenberg", (x, y), (state,)))
+    return _check("heisenberg", (x, y), (state,))
 
 
 def schrodinger(x: Observable, y: Observable, state: QuantumState) -> URReport:
     """ΔX²ΔY² − (ΔXY)² >= |<[X,Y]>|²/4, the two-observable Schwartz bound."""
-    ms = moment_set((x, y), state)
-    lhs = ms.sigma[0, 0] * ms.sigma[1, 1] - ms.sigma[0, 1] ** 2
-    rhs = abs(ms.comm(0, 1)) ** 2 / 4
-    return _report("schrodinger", 2, 1, lhs, rhs, _digest("schrodinger", (x, y), (state,)))
+    return _check("schrodinger", (x, y), (state,))
 
 
 def robertson(observables, state: QuantumState) -> URReport:
     """det sigma >= det C for an n-tuple of observables, n >= 2."""
     if len(observables) < 2:
         raise InputError("robertson requires at least 2 observables")
-    ms = moment_set(observables, state)
-    lhs = np.linalg.det(ms.sigma)
-    rhs = np.linalg.det(ms.cmat)
-    n = len(observables)
-    return _report("robertson", n, 1, lhs, rhs, _digest("robertson", observables, (state,)))
+    return _check("robertson", observables, (state,))
 
 
 def characteristic(observables, state: QuantumState, r: int) -> URReport:
@@ -170,20 +340,12 @@ def characteristic(observables, state: QuantumState, r: int) -> URReport:
     n = len(observables)
     if not 1 <= r <= n:
         raise InputError(f"order r={r} outside 1..{n}")
-    ms = moment_set(observables, state)
-    lhs = linalg.char_coeffs(ms.sigma)[r - 1]
-    rhs = linalg.char_coeffs(ms.cmat)[r - 1]
-    digest = _digest("characteristic", observables, (state,), (r,))
-    return _report("characteristic", n, 1, lhs, rhs, digest)
+    return _check("characteristic", observables, (state,), r=r)
 
 
 def type_2_1(x: Observable, y: Observable, state: QuantumState) -> URReport:
     """<X²><Y²> >= (ΔXY + <X><Y>)² + |<[X,Y]>|²/4, the uncentered pair check."""
-    ms = moment_set((x, y), state)
-    lhs = (ms.sigma[0, 0] + ms.means[0] ** 2) * (ms.sigma[1, 1] + ms.means[1] ** 2)
-    comm = abs(ms.comm(0, 1)) ** 2 / 4
-    rhs = (ms.sigma[0, 1] + ms.means[0] * ms.means[1]) ** 2 + comm
-    return _report("type_2_1", 2, 1, lhs, rhs, _digest("type_2_1", (x, y), (state,)))
+    return _check("type_2_1", (x, y), (state,))
 
 
 def type_3_1(x: Observable, y: Observable, z: Observable, psi: PureState) -> URReport:
@@ -193,11 +355,7 @@ def type_3_1(x: Observable, y: Observable, z: Observable, psi: PureState) -> URR
     reduces to ΔX² + ΔZ² >= 2ΔXZ.
     """
     _require_pure((psi,))
-    ms = moment_set((x, y, z), psi)
-    lhs = ms.sigma[0, 0] * (ms.sigma[1, 1] + ms.sigma[2, 2])
-    prod = ms.comm(0, 2) * ms.comm(1, 0)
-    rhs = 2 * ms.sigma[0, 1] * ms.sigma[0, 2] + _real_audited(prod, "(3,1) commutator product") / 2
-    return _report("type_3_1", 3, 1, lhs, rhs, _digest("type_3_1", (x, y, z), (psi,)))
+    return _check("type_3_1", (x, y, z), (psi,))
 
 
 def coherent_fixed(x: Observable, y: Observable, state: QuantumState) -> URReport:
@@ -206,10 +364,7 @@ def coherent_fixed(x: Observable, y: Observable, state: QuantumState) -> URRepor
     Ordinary check obtained from the canonical two-state extension by freezing
     one slot at a coherent state; minimized by coherent states only.
     """
-    ms = moment_set((x, y), state)
-    lhs = ms.sigma[0, 0] + ms.sigma[1, 1]
-    digest = _digest("coherent_fixed", (x, y), (state,))
-    return _report("coherent_fixed", 2, 1, lhs, 1.0, digest)
+    return _check("coherent_fixed", (x, y), (state,))
 
 
 # ---------------------------------------------------------------------------
@@ -240,38 +395,7 @@ def _cross_state_pair(family: str, observables, psi1, psi2, variant: str) -> URR
     _require_pure((psi1, psi2))
     if variant not in ("a", "b"):
         raise InputError(f"variant must be 'a' or 'b', got {variant!r}")
-    x, y = observables[0], observables[-1]
-    ms1 = moment_set((x,), psi1)
-    ms2 = moment_set((y,), psi2)
-    vx1, my2 = ms1.sigma[0, 0], ms2.means[0]
-    mx1, vy2 = ms1.means[0], ms2.sigma[0, 0]
-    x1, y2 = ms1.rows[0], ms2.rows[0]
-    if variant == "a":
-        chi1 = x1 - mx1 * psi1.amplitudes
-        chi2 = y2 - my2 * psi2.amplitudes
-        lhs = vx1 * vy2
-        rhs = abs(np.vdot(chi1, chi2)) ** 2
-    else:
-        lhs = (vx1 + mx1 * mx1) * (vy2 + my2 * my2)
-        rhs = abs(np.vdot(x1, y2)) ** 2
-    ur_id = family + variant
-    digest = _digest(ur_id, observables, (psi1, psi2))
-    return _report(ur_id, len(observables), 2, lhs, rhs, digest)
-
-
-def _pairwise_extended_sides(msets: list[MomentSet], comms: list[complex]) -> tuple[float, float]:
-    """Pairwise-symmetrized sides of the state-extended Schrödinger check."""
-    lhs = 0.0
-    rhs = 0.0
-    m = len(msets)
-    for i in range(m):
-        for j in range(i + 1, m):
-            a, b = msets[i], msets[j]
-            lhs += 0.5 * (a.sigma[0, 0] * b.sigma[1, 1] + b.sigma[0, 0] * a.sigma[1, 1])
-            lhs -= a.sigma[0, 1] * b.sigma[0, 1]
-            prod = comms[i] * np.conj(comms[j])
-            rhs += _real_audited(prod, "commutator product") / 4
-    return lhs, rhs
+    return _check(family + variant, observables, (psi1, psi2))
 
 
 def extended_schrodinger(
@@ -285,16 +409,7 @@ def extended_schrodinger(
     With ψ1 = ψ2 this is exactly the Schrödinger check.
     """
     _require_pure((psi1, psi2))
-    return _pairwise_extended("extended_schrodinger", x, y, (psi1, psi2))
-
-
-def _pairwise_extended(ur_id: str, x: Observable, y: Observable, states, extras=()) -> URReport:
-    """Body of the extended Schrödinger and (2,m) checks."""
-    msets = [moment_set((x, y), s) for s in states]
-    comms = [ms.comm(0, 1) for ms in msets]
-    lhs, rhs = _pairwise_extended_sides(msets, comms)
-    digest = _digest(ur_id, (x, y), tuple(states), extras)
-    return _report(ur_id, 2, len(states), lhs, rhs, digest)
+    return _check("extended_schrodinger", (x, y), (psi1, psi2))
 
 
 def entangled_heisenberg(
@@ -308,14 +423,7 @@ def entangled_heisenberg(
     bounded below by 1/2.
     """
     _require_pure((psi1, psi2))
-    ms1 = moment_set((x, y), psi1)
-    ms2 = moment_set((x, y), psi2)
-    lhs = 0.5 * (
-        ms1.sigma[0, 0] * ms2.sigma[1, 1] + ms2.sigma[0, 0] * ms1.sigma[1, 1]
-    )
-    rhs = abs(ms1.comm(0, 1) * ms2.comm(0, 1)) / 4
-    digest = _digest("entangled_heisenberg", (x, y), (psi1, psi2))
-    return _report("entangled_heisenberg", 2, 2, lhs, rhs, digest)
+    return _check("entangled_heisenberg", (x, y), (psi1, psi2))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +444,7 @@ def type_2_m(x: Observable, y: Observable, states) -> URReport:
     m = len(states)
     if m < 2:
         raise InputError(f"type_2_m requires m >= 2 states, got {m}")
-    return _pairwise_extended("type_2_m", x, y, states)
+    return _check("type_2_m", (x, y), states)
 
 
 def char_gap_check(matrices, r: int, flavor: str) -> URReport:
@@ -372,37 +480,66 @@ def char_gap_check(matrices, r: int, flavor: str) -> URReport:
 @dataclass(frozen=True)
 class URSpec:
     """Call signature of a catalog check (how many observables and state slots
-    it takes, whether they accept mixed states) and its evaluator. Evaluators
-    call their check by its module-level name, so a rebinding is honoured."""
+    it takes, whether they accept mixed states), its evaluator, and its sides
+    formula over the record `_gather` makes (``cross`` names the (1,2)/(2,2)
+    cross term, "a" centred or "b" raw). Evaluators call their check by its
+    module-level name, so a rebinding is honoured."""
 
     ur_id: str
     n_observables: int  # -1 = variable (>= 2), 0 = any number
     n_states: int  # -1 = variable (>= 2), 0 = any number
     pure_only: bool
     evaluate: Callable[[tuple, tuple, dict], URReport]
+    sides: Callable[[tuple, dict], tuple] | None = None
+    cross: str | None = None
 
 
 UR_SPECS = {
-    "heisenberg": URSpec("heisenberg", 2, 1, False, lambda o, s, e: heisenberg(*o, *s)),
-    "schrodinger": URSpec("schrodinger", 2, 1, False, lambda o, s, e: schrodinger(*o, *s)),
-    "robertson": URSpec("robertson", -1, 1, False, lambda o, s, e: robertson(o, *s)),
-    "characteristic": URSpec(
-        "characteristic", -1, 1, False, lambda o, s, e: characteristic(o, *s, e.get("r", len(o)))
+    "heisenberg": URSpec(
+        "heisenberg", 2, 1, False, lambda o, s, e: heisenberg(*o, *s), _heisenberg_sides
     ),
-    "type_1_2a": URSpec("type_1_2a", 1, 2, True, lambda o, s, e: type_1_2(*o, *s, "a")),
-    "type_1_2b": URSpec("type_1_2b", 1, 2, True, lambda o, s, e: type_1_2(*o, *s, "b")),
-    "type_2_1": URSpec("type_2_1", 2, 1, False, lambda o, s, e: type_2_1(*o, *s)),
-    "type_2_2a": URSpec("type_2_2a", 2, 2, True, lambda o, s, e: type_2_2(*o, *s, "a")),
-    "type_2_2b": URSpec("type_2_2b", 2, 2, True, lambda o, s, e: type_2_2(*o, *s, "b")),
+    "schrodinger": URSpec(
+        "schrodinger", 2, 1, False, lambda o, s, e: schrodinger(*o, *s), _schrodinger_sides
+    ),
+    "robertson": URSpec(
+        "robertson", -1, 1, False, lambda o, s, e: robertson(o, *s), _robertson_sides
+    ),
+    "characteristic": URSpec(
+        "characteristic", -1, 1, False,
+        lambda o, s, e: characteristic(o, *s, e.get("r", len(o))), _characteristic_sides,
+    ),
+    "type_1_2a": URSpec(
+        "type_1_2a", 1, 2, True, lambda o, s, e: type_1_2(*o, *s, "a"), _centered_cross_sides, "a"
+    ),
+    "type_1_2b": URSpec(
+        "type_1_2b", 1, 2, True, lambda o, s, e: type_1_2(*o, *s, "b"), _raw_cross_sides, "b"
+    ),
+    "type_2_1": URSpec(
+        "type_2_1", 2, 1, False, lambda o, s, e: type_2_1(*o, *s), _type_2_1_sides
+    ),
+    "type_2_2a": URSpec(
+        "type_2_2a", 2, 2, True, lambda o, s, e: type_2_2(*o, *s, "a"), _centered_cross_sides, "a"
+    ),
+    "type_2_2b": URSpec(
+        "type_2_2b", 2, 2, True, lambda o, s, e: type_2_2(*o, *s, "b"), _raw_cross_sides, "b"
+    ),
     "extended_schrodinger": URSpec(
-        "extended_schrodinger", 2, 2, True, lambda o, s, e: extended_schrodinger(*o, *s)
+        "extended_schrodinger", 2, 2, True,
+        lambda o, s, e: extended_schrodinger(*o, *s), _pairwise_extended_sides,
     ),
     "entangled_heisenberg": URSpec(
-        "entangled_heisenberg", 2, 2, True, lambda o, s, e: entangled_heisenberg(*o, *s)
+        "entangled_heisenberg", 2, 2, True,
+        lambda o, s, e: entangled_heisenberg(*o, *s), _entangled_heisenberg_sides,
     ),
-    "type_3_1": URSpec("type_3_1", 3, 1, True, lambda o, s, e: type_3_1(*o, *s)),
-    "type_2_m": URSpec("type_2_m", 2, -1, False, lambda o, s, e: type_2_m(*o, s)),
-    "coherent_fixed": URSpec("coherent_fixed", 2, 1, False, lambda o, s, e: coherent_fixed(*o, *s)),
+    "type_3_1": URSpec(
+        "type_3_1", 3, 1, True, lambda o, s, e: type_3_1(*o, *s), _type_3_1_sides
+    ),
+    "type_2_m": URSpec(
+        "type_2_m", 2, -1, False, lambda o, s, e: type_2_m(*o, s), _pairwise_extended_sides
+    ),
+    "coherent_fixed": URSpec(
+        "coherent_fixed", 2, 1, False, lambda o, s, e: coherent_fixed(*o, *s), _coherent_fixed_sides
+    ),
 }
 
 # The characteristic gaps build one psd matrix per state before checking, so

@@ -392,6 +392,7 @@ def run_minimize(config: dict, seed: int, dim: int) -> tuple[dict, int]:
         "tol": result.tol,
         "iterations": result.iterations,
         "evaluations": result.evaluations,
+        "gradients": result.gradients,
         "converged": result.converged,
         "truncation_rejects": result.truncation_rejects,
         "slots": [

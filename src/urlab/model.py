@@ -293,17 +293,44 @@ def _squeeze_edge(n: int, alpha: float) -> float:
     return (bisect.bisect_left(steps, True, key=fails) - 2) / 2**20
 
 
-@lru_cache(maxsize=2 * BUILDER_CACHE_SIZE)  # one entry per (dimension, step)
-def _generator_eigs(n: int, step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigensystem (w, V) of the real tridiagonal generator T_step in dimension
-    n, and the level index 0, 1, ... of its basis.
+@lru_cache(maxsize=BUILDER_CACHE_SIZE)
+def _displacement_edge(n: int, r: float, cap: float) -> float:
+    """The largest |alpha| <= cap at which the squeezed-state audit admits
+    squeeze |r| at every phase, the inverse of `_squeeze_edge`: `cap` when it
+    fits, else bisected on a 2^-20 grid below it with one step given back as
+    there (0 when not even alpha = 0 fits)."""
 
-    T_1 = a + a† on all n levels carries the displacement. T_2 = a² + a†²
-    restricted to the even levels 0, 2, 4, ... (off-diagonal
-    sqrt((2k+1)(2k+2))) carries the squeeze out of the vacuum.
+    def fails(a: float) -> bool:
+        try:  # uncached, so the bisection keeps the cached edges
+            return _squeeze_edge.__wrapped__(n, a) < r
+        except TruncationError:
+            return True
+
+    if not fails(cap):
+        return cap
+    k = bisect.bisect_left(range(int(cap * 2**20)), True, key=lambda k: fails(k / 2**20))
+    return max(0.0, (k - 2) / 2**20)
+
+
+@lru_cache(maxsize=2 * BUILDER_CACHE_SIZE)  # one entry per (dimension, step)
+def _generator_offdiag(n: int, step: int) -> np.ndarray:
+    """The off-diagonal of the real tridiagonal generator T_step in dimension n.
+
+    T_1 = a + a† on all n levels carries the displacement: sqrt(k). T_2 = a² + a†²
+    restricted to the even levels 0, 2, 4, ... carries the squeeze out of the
+    vacuum: sqrt((2k-1)(2k)).
     """
     k = np.arange(1.0, n if step == 1 else (n + 1) // 2)
     off = np.sqrt(k) if step == 1 else np.sqrt((2 * k - 1) * (2 * k))
+    off.setflags(write=False)
+    return off
+
+
+@lru_cache(maxsize=2 * BUILDER_CACHE_SIZE)  # one entry per (dimension, step)
+def _generator_eigs(n: int, step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigensystem (w, V) of the generator T_step of `_generator_offdiag` in
+    dimension n, and the level index 0, 1, ... of its basis."""
+    off = _generator_offdiag(n, step)
     w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     levels = np.arange(w.size)
     for a in (w, v, levels):
@@ -312,20 +339,96 @@ def _generator_eigs(n: int, step: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def _real_matvec(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """m @ z for real m and complex z, without casting m to complex."""
-    return (m @ z.view(float).reshape(-1, 2)).view(complex).ravel()
+    """m @ z for real m and a complex vector or block of columns z (C-contiguous),
+    without casting m to complex."""
+    return (m @ z.view(float).reshape(z.shape[0], -1)).view(complex).reshape(z.shape)
 
 
 def _evolve(n: int, step: int, s: float, theta: float, vec: np.ndarray | None) -> np.ndarray:
-    """exp(-i s P T_step P†) @ vec with P = diag(e^{i k theta}).
+    """exp(-i s P T_step P†) @ vec with P = diag(e^{i k theta}), for a vector or
+    a block of column vectors.
 
     ``vec`` None stands for the first basis vector; its coordinates in the
     eigenbasis are row 0 of V, so the first product is skipped.
     """
     w, v, levels = _generator_eigs(n, step)
-    ph = np.exp(1j * theta * levels)
+    col = (slice(None),) + (None,) * (0 if vec is None else vec.ndim - 1)
+    ph = np.exp(1j * theta * levels)[col]
     y = v[0] if vec is None else _real_matvec(v.T, ph.conj() * vec)
-    return ph * _real_matvec(v, y * np.exp(-1j * s * w))
+    return ph * _real_matvec(v, y * np.exp(-1j * s * w)[col])
+
+
+def _generator_apply(n: int, step: int, theta: float, vec: np.ndarray) -> np.ndarray:
+    """P T_step P† @ vec in O(N), T_step being tridiagonal."""
+    off = _generator_offdiag(n, step)
+    e = cmath.exp(-1j * theta)
+    out = np.zeros_like(vec)
+    out[:-1] = e * off * vec[1:]
+    out[1:] += e.conjugate() * off * vec[:-1]
+    return out
+
+
+# below this |alpha| the polar chain rule's (d/dtheta)/|alpha| loses digits to
+# cancellation (about 1e-16 N / |alpha|), and divided differences take over
+_POLAR_MIN = 1e-3
+
+
+def _displacement_turn(n: int, s: float, theta: float, vec: np.ndarray) -> np.ndarray:
+    """(1/s) d/dtheta exp(-i s P T_1 P†) @ vec = (1/s) [iL, U] vec, L = diag(k).
+
+    In the eigenbasis Q = P V of the displacement this is Q (B o F) Q† vec with
+    B = V^T [L, T_1] V and F the divided differences of exp(-i s w) over
+    -i s w (Daleckii-Krein; Higham, Functions of Matrices, 2008, ch. 3): their
+    sinc form stays exact as s -> 0, where it tends to P [L, T_1] P† vec.
+    """
+    w, v, levels = _generator_eigs(n, 1)
+    if s == 0:
+        return levels * _generator_apply(n, 1, theta, vec) - _generator_apply(
+            n, 1, theta, levels * vec)
+    b = v.T @ (levels[:, None] * v)
+    b = b * (w - w[:, None])  # V^T L V diag(w) - diag(w) V^T L V
+    f = np.exp(-0.5j * s * (w + w[:, None])) * np.sinc(s * (w - w[:, None]) / (2 * math.pi))
+    ph = np.exp(1j * theta * levels)
+    return ph * _real_matvec(v, (b * f) @ _real_matvec(v.T, ph.conj() * vec))
+
+
+def _squeezed_tangents(alpha: complex, r: float, phi: float, psi: np.ndarray) -> np.ndarray:
+    """Rows d psi / d(Re alpha, Im alpha, r, phi) of psi = squeezed_state(alpha,
+    r, phi, psi.size).amplitudes, for the truncated, normalised state as built.
+
+    With psi = U_D v, U_D = exp(-i |alpha| P T_1 P†) and v the squeezed vacuum
+    (P the phases of `_evolve`, L = diag(k)):
+    - d/d|alpha| psi = -i P T_1 P† psi, O(N);
+    - d/dtheta psi = i (L psi - U_D L v), one more evolve, divided by |alpha|
+      through the polar chain rule, or by `_displacement_turn` near alpha = 0;
+    - d/dr and d/dphi of v are -(i/2) P T_2 P† v and i L v on the even levels,
+      O(N) since L e_0 = 0, each then evolved through U_D.
+    The normalisation psi = w / |w| is differentiated in closed form,
+    d psi = dw - psi Re<psi, dw>. The state itself is not rebuilt or audited.
+    """
+    n, levels = psi.size, _generator_eigs(psi.size, 1)[2]
+    theta2 = phi - 0.5 * math.pi
+    v = np.zeros(n, dtype=complex)
+    v[0] = 1.0
+    if r != 0:
+        v[0::2] = _evolve(n, 2, 0.5 * r, theta2, None)
+        v /= np.linalg.norm(v)
+    block = np.zeros((n, 3), dtype=complex)  # columns L v, dv/dr, dv/dphi
+    block[:, 0] = levels * v
+    block[0::2, 1] = -0.5j * _generator_apply(n, 2, theta2, v[0::2])
+    block[0::2, 2] = 1j * levels[: (n + 1) // 2] * v[0::2]
+    s, arg = abs(alpha), cmath.phase(alpha)
+    theta1 = arg + 0.5 * math.pi
+    if alpha != 0:
+        block = _evolve(n, 1, s, theta1, block)
+    if s >= _POLAR_MIN:
+        turn = 1j * (levels * psi - block[:, 0]) / s
+    else:
+        turn = _displacement_turn(n, s, theta1, v)
+    shift = -1j * _generator_apply(n, 1, theta1, psi)
+    ca, sa = math.cos(arg), math.sin(arg)
+    out = np.array([ca * shift - sa * turn, sa * shift + ca * turn, block[:, 1], block[:, 2]])
+    return out - np.outer((out @ psi.conj()).real, psi)
 
 
 def squeezed_state(

@@ -35,6 +35,10 @@ class MomentSet:
     cmat[i, j]  = -(i/2) <[X_i, X_j]>                  (mean-commutator matrix)
     m2[i, j]    = <X_i X_j>                            (raw second moments)
     rows[i]     = X_i|psi> for a pure state; None for a density matrix
+
+    `moment_tangent` and `catalog.slack_derivatives` also make MomentSets
+    whose arrays carry a stack of tangent directions on a last axis, with
+    rows None, so that `comm` reads m2.
     """
 
     means: np.ndarray
@@ -113,6 +117,26 @@ def second_moment_matrix(observables, state: QuantumState) -> np.ndarray:
     """Matrix of raw second moments M_jk = <X_j X_k> in the given state: the
     read-only ``m2`` of moment_set, whose audits it runs."""
     return moment_set(observables, state).m2
+
+
+def moment_tangent(observables, ms: MomentSet, psi: np.ndarray, dpsi: np.ndarray):
+    """First-order change of a pure state's MomentSet ``ms`` of the tuple as
+    its amplitudes ``psi`` move along each row of ``dpsi``.
+
+    Returns a MomentSet of tangents, each array stacked over the directions on
+    its last axis and ``rows`` None, and the rows X_i dpsi stacked as
+    (observable, direction, amplitude). With R the rows X_i psi:
+    dM = dR^* R^T + R^* dR^T, d<X_i> = 2 Re <X_i psi|dpsi>,
+    dsigma = Re dM - dm m^T - m dm^T and dC = Im dM, exactly symmetric and
+    antisymmetric as sigma and C are.
+    """
+    drows = np.array([dpsi @ o.matrix.T for o in observables])
+    half = (drows.conj() @ ms.rows.T).transpose(0, 2, 1)  # <X_i dpsi|X_j psi>
+    dm2 = half + half.transpose(1, 0, 2).conj()
+    dmeans = 2 * (ms.rows.conj() @ dpsi.T).real
+    outer = dmeans[:, None] * ms.means[None, :, None]
+    dsigma = dm2.real - (outer + outer.transpose(1, 0, 2))
+    return MomentSet(means=dmeans, sigma=dsigma, cmat=dm2.imag, m2=dm2, rows=None), drows
 
 
 def moment_set(observables, state: QuantumState) -> MomentSet:

@@ -17,16 +17,19 @@ from urlab.analysis import (
     saturation_1_2a,
     triangle_scan,
 )
-from urlab.catalog import type_1_2
+from urlab.catalog import UR_SPECS, type_1_2
 from urlab.ensembles import coherent_pair_grid, random_instances
-from urlab.errors import InputError
+from urlab.errors import InputError, TruncationError
 from urlab.model import (
     Observable,
     PureState,
+    _displacement_edge,
     _squeeze_edge,
     coherent_state,
     fock_operators,
     fock_state,
+    quad_mix,
+    sample,
     squeezed_state,
 )
 
@@ -98,9 +101,15 @@ def test_certificate_agrees_with_report_flag():
 # nelder-mead and minimize_slack
 
 
+def with_gradient(f, grad):
+    """An objective for the descent: f's value, and a callable for its gradient."""
+    return lambda x: (f(x), lambda: grad(x))
+
+
 def test_nelder_mead_quadratic():
     f = lambda x: float((x[0] - 1) ** 2 + 4 * (x[1] + 2) ** 2 + 0.5)
-    x, fx, iters, evals, converged = nelder_mead(f, np.zeros(2), budget=800)
+    grad = lambda x: np.array([2 * (x[0] - 1), 8 * (x[1] + 2)])
+    x, fx, iters, evals, converged = nelder_mead(with_gradient(f, grad), np.zeros(2), budget=800)
     assert fx == pytest.approx(0.5, abs=1e-8)
     assert converged
     assert np.allclose(x, [1, -2], atol=1e-3)
@@ -120,36 +129,56 @@ def test_nelder_mead_restarts_a_stagnant_simplex():
     assert abs(res.slack) < 1e-10
 
 
+def test_descent_crosses_the_rounding_floor():
+    # a start whose exact gradient (1.44e-7 in r) is above the certificate
+    # while the slack values around it differ by less than their rounding:
+    # the plain Armijo test rejected every step from here and the descent
+    # stopped unconverged, in the benchmark's restarts too
+    stuck = [0.30330361588065075, -0.933861188506133, -3.6004428218938244e-08, 5.273436354295172]
+    res = minimize_slack("coherent_fixed", fock_operators(64), 64, init=stuck, budget=800,
+                         restarts=1)
+    assert res.converged and abs(res.slack) <= 1e-6
+
+
 def test_descent_lands_on_the_box_boundary_with_a_certificate():
     # the unconstrained minimum (3, 0.5) lies outside the box [-1, 1]^2; the
     # constrained one is the corner (1, 1), where the projected gradient vanishes
     f = lambda x: float((x[0] - 3) ** 2 + 2 * (x[1] - 0.5) ** 2 + (x[0] - 3) * (x[1] - 0.5))
+    grad = lambda x: np.array([2 * (x[0] - 3) + (x[1] - 0.5), 4 * (x[1] - 0.5) + (x[0] - 3)])
     box = lambda x: np.clip(x, -1.0, 1.0)
-    x, fx, iters, evals, converged = nelder_mead(f, np.zeros(2), budget=400, project=box)
+    x, fx, iters, evals, converged = nelder_mead(
+        with_gradient(f, grad), np.zeros(2), budget=400, project=box
+    )
     assert converged
     assert np.array_equal(x, [1.0, 1.0])
     assert fx == pytest.approx(3.5, abs=1e-12)
     # a disc, as minimize_slack's alpha: the minimum is the point nearest (2, 2)
     disc = lambda x: x / max(1.0, float(np.hypot(*x)))
-    g = lambda x: float((x[0] - 2) ** 2 + (x[1] - 2) ** 2)
+    g = with_gradient(lambda x: float((x[0] - 2) ** 2 + (x[1] - 2) ** 2), lambda x: 2 * (x - 2))
     x, _, _, _, converged = nelder_mead(g, np.array([0.3, -0.6]), budget=400, project=disc)
     assert converged
     assert np.allclose(x, [math.sqrt(0.5)] * 2, atol=1e-9)
 
 
 def test_descent_budget_is_a_hard_cap():
-    calls = []
+    values, gradients = [], []
 
     def f(x):
-        calls.append(x)
+        values.append(x)
         return float((x[0] - 1) ** 2 + 4 * (x[1] + 2) ** 2)
+
+    def grad(x):
+        gradients.append(x)
+        return np.array([2 * (x[0] - 1), 8 * (x[1] + 2)])
 
     x0 = np.array([0.5, -0.5])
     n = x0.size
     for budget in range(1, 3 * n + 1):
-        calls.clear()
-        x, fx, iters, evals, converged = nelder_mead(f, x0, budget=budget)
-        assert evals == len(calls) <= budget
+        values.clear()
+        gradients.clear()
+        x, fx, iters, evals, converged = nelder_mead(with_gradient(f, grad), x0, budget=budget)
+        # a gradient is charged the 2n central-difference probes it stands in for
+        assert evals == len(values) + 2 * n * len(gradients) <= budget
         if budget < 1 + 2 * n:  # no room for one gradient: the start comes back
             assert (iters, evals, converged, fx) == (0, 1, False, f(x0))
             assert np.array_equal(x, x0)
@@ -160,33 +189,37 @@ def test_descent_budget_is_a_hard_cap():
 @pytest.mark.parametrize("start", [[-3.0, 1.0], [1.0, 1.0]])
 def test_descent_treats_a_rejected_point_as_a_barrier(start):
     # points beyond x0 = 1 are rejected (inf): from (-3, 1) the first steps
-    # overshoot into them and the line search backtracks; from (1, 1) the
-    # forward probe of x0 is rejected and the backward difference stands in
+    # overshoot into them and the line search backtracks; from (1, 1), on the
+    # barrier's edge, the gradient leads away from it
     rejected = []
 
     def f(x):
         rejected.append(x[0] > 1)
-        return math.inf if x[0] > 1 else float(100 * (x[0] - 0.9) ** 2 + x[1] ** 2)
+        if x[0] > 1:
+            return math.inf, None
+        grad = lambda: np.array([200 * (x[0] - 0.9), 2 * x[1]])
+        return float(100 * (x[0] - 0.9) ** 2 + x[1] ** 2), grad
 
     x, fx, iters, evals, converged = nelder_mead(f, np.array(start), budget=400)
-    assert any(rejected)
+    assert any(rejected) == (start[0] < 1)
     assert converged
     assert np.allclose(x, [0.9, 0.0], atol=1e-8)
     assert fx < 1e-15
 
 
-def test_descent_stops_unconverged_when_both_probes_are_rejected():
+def test_descent_returns_a_rejected_start_as_it_is():
     x0 = np.array([0.3, -0.2])
-    f = lambda x: 0.0 if np.array_equal(x, x0) else math.inf
-    x, fx, iters, evals, converged = nelder_mead(f, x0, budget=400)
-    assert (fx, iters, evals, converged) == (0.0, 0, 1 + 2 * x0.size, False)
+    x, fx, iters, evals, converged = nelder_mead(lambda x: (math.inf, None), x0, budget=400)
+    assert (fx, iters, evals, converged) == (math.inf, 0, 1, False)
     assert np.array_equal(x, x0)
-    # a rejected start is returned as it is
-    assert nelder_mead(lambda x: math.inf, x0, budget=400)[1:] == (math.inf, 0, 1, False)
 
 
 def test_descent_gives_no_false_certificate():
-    rosenbrock = lambda x: float((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)
+    rosenbrock = with_gradient(
+        lambda x: float((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2),
+        lambda x: np.array([-2 * (1 - x[0]) - 400 * x[0] * (x[1] - x[0] ** 2),
+                            200 * (x[1] - x[0] ** 2)]),
+    )
     x, fx, iters, evals, converged = nelder_mead(rosenbrock, np.array([-1.2, 1.0]), budget=60)
     assert evals <= 60
     assert not converged
@@ -213,8 +246,9 @@ def test_minimize_counts_the_calls_of_every_start(monkeypatch):
     assert len(seen) == 3
     assert res.evaluations == sum(seen) > max(seen)
     assert res.truncation_rejects == 0
-    # at dim 16 the box admits |alpha| = 1.4 at the squeeze edge, but the
-    # truncation audit rejects that start; the vacuum start wins
+    # at dim 16 a start at the corner of the box, |alpha| at the disc's radius
+    # and r at the squeeze edge, is rejected by the truncation audit; the
+    # vacuum start wins
     q, p = fock_operators(16)
     init = [ALPHA_BOX, 0, -_squeeze_edge(16, 0.0), 0]
     res = minimize_slack("heisenberg", (q, p), 16, init=init, budget=100, restarts=2)
@@ -222,47 +256,44 @@ def test_minimize_counts_the_calls_of_every_start(monkeypatch):
     assert res.converged and abs(res.slack) < 1e-12
 
 
-def test_objective_builds_only_the_slots_that_moved(monkeypatch):
+def test_gradient_builds_and_reports_nothing(monkeypatch):
     from urlab import analysis
 
-    build, descend = analysis.squeezed_state, analysis.nelder_mead
-    builds, calls = [], []
+    build, evaluate, descend = analysis.squeezed_state, analysis.evaluate_ur, analysis.nelder_mead
+    log = []
 
     def counted_build(alpha, r, phi, dim):
-        builds.append((alpha, r, phi))
+        log.append("build")
         return build(alpha, r, phi, dim)
+
+    def counted_evaluate(*args, **kwargs):
+        log.append("evaluate")
+        return evaluate(*args, **kwargs)
 
     def recorded(f, x0, **kwargs):
         def objective(x):
-            before = len(builds)
-            value = f(x)
-            calls.append((x.copy(), builds[before:]))
-            return value
+            log.append("value")
+            value, grad = f(x)
+            return value, lambda: (log.append("gradient"), grad())[1]
 
         return descend(objective, x0, **kwargs)
 
     monkeypatch.setattr(analysis, "squeezed_state", counted_build)
+    monkeypatch.setattr(analysis, "evaluate_ur", counted_evaluate)
     monkeypatch.setattr(analysis, "nelder_mead", recorded)
     init = [0.4, -0.3, 0.2, 1.0, -0.5, 0.1, -0.15, 2.0]
     res = minimize_slack("entangled_heisenberg", fock_operators(64), 64, init=init,
                          budget=800, restarts=1)
     assert res.converged and res.truncation_rejects == 0
-    assert len(calls) == res.evaluations
-    # each call builds exactly the slots whose four floats differ, bit for bit,
-    # from those of that slot's last build, in slot order
-    last = [None, None]
-    for x, built in calls:
-        want = []
-        for k, row in enumerate(x.reshape(2, 4)):
-            if last[k] is None or last[k].tobytes() != row.tobytes():
-                want.append((complex(row[0], row[1]), row[2], row[3]))
-                last[k] = row
-        assert built == want
-    # a gradient probe moves one slot: it builds that slot, and the other one
-    # only when the call before it had moved that other slot
-    assert sum(len(b) == 1 for _, b in calls) > 0.7 * len(calls)
-    # the final report builds both slots once more
-    assert len(builds) == sum(len(b) for _, b in calls) + 2 < 2 * res.evaluations
+    calls = log.count("value")
+    assert res.gradients == log.count("gradient") >= 1
+    assert res.evaluations == calls + 16 * res.gradients
+    # each value call builds both free slots once and reports once; a gradient
+    # reuses them and does neither; the final report builds both slots again
+    text = " ".join(log)
+    assert text.count("value build build evaluate") == calls
+    rest = text.replace("value build build evaluate", "").split()
+    assert rest == ["gradient"] * res.gradients + ["build", "build", "evaluate"]
 
 
 def test_a_rejected_slot_is_counted_on_every_call(monkeypatch):
@@ -282,17 +313,58 @@ def test_a_rejected_slot_is_counted_on_every_call(monkeypatch):
 
     def descent(f, x, **kwargs):
         values = [f(x0), f(x0), f(moved), f(x0)]
-        assert values == [math.inf] * 4
+        assert values == [(math.inf, None)] * 4
         return np.zeros(8), 0.0, 0, 4, False
 
     monkeypatch.setattr(analysis, "squeezed_state", counted_build)
     monkeypatch.setattr(analysis, "nelder_mead", descent)
     q, p = fock_operators(16)
     res = minimize_slack("entangled_heisenberg", (q, p), 16, init=x0, budget=10, restarts=1)
-    assert (res.evaluations, res.truncation_rejects) == (4, 4)
-    # slot 0 is built at x0, at `moved` and at x0 again; slot 1 is audited on
-    # every call; the final report builds both slots once more
-    assert builds.count(0.0) == 3 + 2 and builds.count(rejected[2]) == 4
+    assert (res.evaluations, res.gradients, res.truncation_rejects) == (4, 0, 4)
+    # both slots are built on every call, slot 1 rejected by its audit; the
+    # final report builds both slots once more
+    assert builds.count(0.0) == 4 + 2 and builds.count(rejected[2]) == 4
+
+
+def _objective_of(monkeypatch, ur_id, observables, dim, **kwargs):
+    """The objective minimize_slack hands its descent."""
+    from urlab import analysis
+
+    seen = []
+    monkeypatch.setattr(analysis, "nelder_mead",
+                        lambda f, x0, **kw: seen.append(f) or (x0, math.inf, 0, 0, False))
+    minimize_slack(ur_id, observables, dim, budget=1, restarts=1, **kwargs)
+    return seen[0]
+
+
+@pytest.mark.parametrize("ur_id", sorted(UR_SPECS))
+def test_slack_gradient_matches_central_differences(monkeypatch, ur_id):
+    # the exact gradient against central differences of the objective itself,
+    # on every check the minimiser takes; extended_schrodinger keeps a fixed
+    # coherent slot and type_2_m a fixed density-matrix slot
+    dim = 32
+    q, p = fock_operators(dim)
+    # Gaussian states saturate the Schrödinger check of (q, p): its slack is flat
+    pair = (q, quad_mix(dim)) if ur_id == "schrodinger" else (q, p)
+    observables = {1: (q,), 2: pair, 3: (q, p, quad_mix(dim))}[
+        max(UR_SPECS[ur_id].n_observables, 0) or 3]
+    kwargs = {}
+    if ur_id == "extended_schrodinger":
+        kwargs = {"fixed_states": {0: coherent_state(0.3 - 0.4j, dim)}, "free_slots": [1]}
+    elif ur_id == "type_2_m":
+        kwargs = {"fixed_states": {1: sample("density", dim, 3)}, "free_slots": [0, 2]}
+    elif ur_id == "characteristic":
+        kwargs = {"extras": {"r": 2}}
+    f = _objective_of(monkeypatch, ur_id, observables, dim, **kwargs)
+    rng = np.random.default_rng(len(ur_id))
+    for _ in range(3):
+        n_free = len(kwargs.get("free_slots", range(UR_SPECS[ur_id].n_states)))
+        x = rng.uniform([-0.5, -0.5, -0.3, 0], [0.5, 0.5, 0.3, 2 * math.pi], (n_free, 4)).ravel()
+        value, grad = f(x)
+        h = 1e-6
+        want = np.array([(f(x + e)[0] - f(x - e)[0]) / (2 * h) for e in h * np.eye(x.size)])
+        got = grad()
+        assert np.abs(got - want).max() <= 1e-7 * max(1.0, np.abs(want).max()), (got, want)
 
 
 @pytest.mark.parametrize("init", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4] * 2, [0.1, math.nan, 0.3, 0.4],
@@ -313,12 +385,22 @@ def test_minimize_box_follows_the_audit(dim):
     assert res.slots[0].r == edge
 
 
-@pytest.mark.parametrize("dim", [32, 48])
-def test_no_seeded_start_is_rejected_from_dim_32(dim):
-    # a seeded start has |alpha| <= 0.6 ALPHA_BOX and |r| <= 0.7 of the box's
-    # edge, which the audit admits at every phase; at dims 16-24 the alpha
-    # disc itself can still fail
-    assert _squeeze_edge(dim, 0.6 * ALPHA_BOX) >= 0.7 * min(1.0, _squeeze_edge(dim, 0.0))
+@pytest.mark.parametrize("dim", [8, 16, 20, 24, 32, 48])
+def test_no_seeded_start_is_rejected(dim):
+    # a seeded start draws Re and Im alpha within 0.6 of the disc's radius, so
+    # |alpha| reaches hypot(0.6, 0.6) of it, and |r| <= 0.7 of the box's edge;
+    # the audit admits all of that at every phase. The radius is ALPHA_BOX
+    # from dim 40 (at 32 the square's corner already fails) and below it the
+    # largest that the audit admits, to 2^-20 of the displacement
+    r_seed, reach = 0.7 * min(1.0, _squeeze_edge(dim, 0.0)), math.hypot(0.6, 0.6)
+    a_max = min(ALPHA_BOX, _displacement_edge(dim, r_seed, math.sqrt(dim) + 1) / reach)
+    assert (a_max == ALPHA_BOX) == (dim >= 40)
+    assert _squeeze_edge(dim, reach * a_max) >= r_seed
+    q, p = fock_operators(dim)
+    # the descent projects a start onto that disc
+    init = [2 * ALPHA_BOX, 0.0, 0.0, 0.0]
+    res = minimize_slack("heisenberg", (q, p), dim, init=init, budget=1, restarts=1)
+    assert res.slots[0].alpha == pytest.approx(a_max, rel=1e-15)
     q, p = fock_operators(dim)
     for seed in range(4):
         res = minimize_slack("entangled_heisenberg", (q, p), dim, budget=1, restarts=8, seed=seed)
@@ -384,13 +466,16 @@ def test_minimize_respects_fixed_slots():
     assert res.slack < 1e-6
 
 
-# (slack, iterations, evaluations, converged) of one descent per benchmark
-# case at dim 64 from a seeded start, recorded from the projected quasi-Newton
-# descent; a change of any of them means the descent took a different trajectory
+# (slack, iterations, evaluations, gradients, converged) of one descent per
+# benchmark case at dim 64 from a seeded start, recorded from the projected
+# quasi-Newton descent on the exact gradient; a change of any of them means the
+# descent took a different trajectory. Iterations and evaluations are those of
+# the central-difference gradient it replaced, whose slacks differed in the
+# last bits only: (-1.0e-15, 3, 38), (-1.9e-16, 3, 36) and (0.0, 8, 153).
 GOLDEN_DESCENTS = {
-    "coherent_fixed": (-9.992007221626409e-16, 3, 38, True),
-    "extended_schrodinger": (-1.942890293094024e-16, 3, 36, True),
-    "entangled_heisenberg": (0.0, 8, 153, True),
+    "coherent_fixed": (0.0, 3, 38, 4, True),
+    "extended_schrodinger": (-1.1102230246251565e-16, 3, 36, 4, True),
+    "entangled_heisenberg": (-1.1102230246251565e-16, 8, 153, 9, True),
 }
 
 
@@ -416,7 +501,8 @@ def test_golden_minimizer_trajectory(case):
     res = minimize_slack(
         case, fock_operators(64), 64, init=init, budget=800, restarts=1, **kwargs
     )
-    assert (res.slack, res.iterations, res.evaluations, res.converged) == GOLDEN_DESCENTS[case]
+    got = (res.slack, res.iterations, res.evaluations, res.gradients, res.converged)
+    assert got == GOLDEN_DESCENTS[case]
 
 
 @pytest.mark.parametrize("case", ["coherent_fixed", "extended_schrodinger", "entangled_heisenberg"])
@@ -425,7 +511,7 @@ def test_one_descent_passes_the_benchmark_gate(case):
     # above; each must reach the gate (|slack| <= 1e-6, converged) in one descent
     rng = np.random.default_rng([2027, 102])
     observables = fock_operators(64)
-    for _ in range(20):
+    for _ in range(200):
         kwargs = {}
         if case == "extended_schrodinger":
             kwargs = {"fixed_states": {0: coherent_state(_seeded_alpha(rng), 64)}, "free_slots": [1]}

@@ -1,6 +1,7 @@
 """Catalog checks: example values, universal validity, reduction identities."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -769,3 +770,153 @@ def test_realness_audit_passes_on_admissible_inputs():
         extended_schrodinger(x, y, s1, s2)
         type_3_1(x, y, z, s1)
         type_2_m(x, y, [s1, s2])
+
+
+# ---------------------------------------------------------------------------
+# golden report bytes: the whole report, not just its digest, recorded before
+# the checks were split into a record and a sides formula
+
+
+def _scan_bytes_digest(ur_id: str) -> str:
+    rng = stream_rng(77, f"report-bytes:{ur_id}")
+    h = hashlib.sha256()
+    for _ in range(200):
+        h.update(json.dumps(scan_report(ur_id, rng, range(2, 13)).as_dict()).encode())
+    return h.hexdigest()[:16]
+
+
+# SHA-256 of the as_dict() JSON of 200 seeded scan reports per default check
+GOLDEN_SCAN_BYTES = {
+    "heisenberg": "54faa7c41454be44",
+    "schrodinger": "52de7e7f8e9f2671",
+    "robertson": "0bf4a47bacb17f26",
+    "characteristic": "1f3abe30bcd266cd",
+    "type_1_2a": "4a50aff1ddbc8cac",
+    "type_1_2b": "301b47a5be2fee88",
+    "type_2_1": "590ee6d8c5a45744",
+    "type_2_2a": "1e6d0720316bded5",
+    "type_2_2b": "f6bd44b9bdbfe6db",
+    "extended_schrodinger": "ede7c3681b8a765e",
+    "entangled_heisenberg": "677ea4fd21b02801",
+    "type_3_1": "9c4c4150cef4cad8",
+    "type_2_m": "c9bc621ae27d220a",
+    "char_gap_entangled": "a9ba5642c65f317f",
+    "char_gap_superadditive": "afbc80a1e8c6dff7",
+}
+
+
+@pytest.mark.parametrize("ur_id", DEFAULT_SCAN_URS)
+def test_golden_scan_report_bytes(ur_id):
+    assert _scan_bytes_digest(ur_id) == GOLDEN_SCAN_BYTES[ur_id]
+
+
+# request shapes like the check-large benchmark's, at dim 128: builder
+# observables or raw Hermitian matrices, builder states or a raw density matrix
+_REQUEST_SHAPES = (
+    (("fock_q", "fock_p"), ("coherent", "squeezed")),
+    (("fock_q", "fock_p", "quad_mix"), ("squeezed",)),
+    (("quad_plus", "quad_mix"), ("squeezed",)),
+    (("fock_q",), ("fock_n", "coherent")),
+    (("fock_q", "fock_p", "quad_plus"), ("fock_n",)),
+    (("fock_p",), ("squeezed", "coherent")),
+    (("raw", "raw"), ("coherent",)),
+    (("fock_q", "fock_p"), ("raw_density",)),
+)
+
+
+def _complex_rows(m):
+    return m.view(np.float64).reshape(*m.shape, 2).tolist()
+
+
+def _check_request(rng, k, dim=128):
+    obs_kinds, state_kinds = _REQUEST_SHAPES[k % len(_REQUEST_SHAPES)]
+    observables = []
+    for i, kind in enumerate(obs_kinds):
+        if kind == "raw":
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            m = (g + g.conj().T) / (2 * math.sqrt(dim))
+            observables.append({"builder": "raw_observable", "name": f"R{i}",
+                                "matrix": _complex_rows(m)})
+        else:
+            observables.append({"builder": kind})
+    states = []
+    for i, kind in enumerate(state_kinds):
+        if kind == "raw_density":
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            m = g @ g.conj().T
+            m = (m + m.conj().T) / 2
+            states.append({"builder": kind, "matrix": _complex_rows(m / np.trace(m).real)})
+        elif kind == "fock_n":
+            states.append({"builder": kind, "k": i + int(rng.integers(3))})
+        else:
+            amag = (1.2 if kind == "coherent" else 0.8) * math.sqrt(rng.uniform())
+            aph = rng.uniform(0, 2 * math.pi)
+            spec = {"builder": kind, "alpha": [amag * math.cos(aph), amag * math.sin(aph)]}
+            if kind == "squeezed":
+                spec.update(r=rng.uniform(-0.8, 0.8), phi=rng.uniform(0, 2 * math.pi))
+            states.append(spec)
+    n_obs, n_states = len(observables), len(states)
+    pure = "raw_density" not in state_kinds
+    urs = []
+    for ur_id, spec in UR_SPECS.items():
+        fits = lambda want, got: want == got or (want < 0 and got >= 2)
+        if not (fits(spec.n_observables, n_obs) and fits(spec.n_states, n_states)):
+            continue
+        if spec.pure_only and not pure:
+            continue
+        if ur_id == "coherent_fixed" and obs_kinds != ("fock_q", "fock_p"):
+            continue
+        urs.append({"id": ur_id, "r": int(rng.integers(1, n_obs + 1))}
+                   if ur_id == "characteristic" else ur_id)
+    for ur_id in CHAR_GAP_IDS:
+        h_choice = ("robertson", "centered", "raw")[int(rng.integers(3))] if pure else "robertson"
+        urs.append({"id": ur_id, "r": int(rng.integers(1, n_obs + 1)), "h_choice": h_choice})
+    return {"urs": urs, "hilbert_dim": dim, "observables": observables, "states": states}
+
+
+# (exit code, SHA-256 of the report file) of 30 such requests
+GOLDEN_CHECK_BYTES = [
+    (0, "61dad3b16ff9ef81"),
+    (0, "2a4c042d8fae549b"),
+    (0, "d47dcc692a873270"),
+    (0, "669206202e9ca01c"),
+    (0, "4ce1d4ab8c433f93"),
+    (0, "428e17b3a1576da6"),
+    (0, "fbc25bc7ff09fd13"),
+    (0, "157789a573c0072c"),
+    (0, "5727bb089438d45f"),
+    (0, "998f45cd2b4e0c1c"),
+    (0, "80900f55cff8b113"),
+    (0, "3e391416d124fe36"),
+    (0, "0879246314f66fc2"),
+    (0, "e6febf6acca809d2"),
+    (0, "7ad93fe9fc823e99"),
+    (0, "3a84f6382b9d3e14"),
+    (0, "d644c66bf8ef88be"),
+    (0, "15e85c0a580822b5"),
+    (0, "9d0345197daa11b3"),
+    (0, "b61961f0effb9803"),
+    (0, "aee02b6ac1e87e04"),
+    (0, "cf7b8a899277cda5"),
+    (0, "4c9e3a4069b83f03"),
+    (0, "3110d7e3d03e1e99"),
+    (0, "e7329909a8c4c150"),
+    (0, "302aac16428bb879"),
+    (0, "8be77c1e2b8b6c6c"),
+    (0, "346329a9537f0a52"),
+    (0, "676152846bab8f39"),
+    (0, "6891c6f4d4176a5e"),
+]
+
+
+def test_golden_check_report_bytes(tmp_path):
+    from urlab.cli import main
+
+    rng = np.random.default_rng(2031)
+    config, out = tmp_path / "request.json", tmp_path / "report.json"
+    digests = []
+    for k in range(30):
+        config.write_text(json.dumps(_check_request(rng, k)))
+        code = main(["check", "--config", str(config), "--out", str(out)])
+        digests.append((code, hashlib.sha256(out.read_bytes()).hexdigest()[:16]))
+    assert digests == GOLDEN_CHECK_BYTES

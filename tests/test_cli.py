@@ -325,11 +325,13 @@ def test_minimize_row_counts_every_start(tmp_path):
     code, doc = run(tmp_path, "minimize", config)
     assert code == 0
     row = doc["results"][0]
-    # 4 parameters: 5 calls leave no room for a gradient, so each start is
-    # evaluated once and none is certified; at dim 8 the box's alpha disc
-    # reaches beyond what the truncation audit admits, it rejects both seeded
-    # random starts, and the vacuum start wins
-    assert (row["evaluations"], row["truncation_rejects"], row["converged"]) == (3, 2, False)
+    # 4 parameters: a budget of 5 leaves no room for a gradient (charged 8), so
+    # each start is evaluated once and none is certified; at dim 8 the alpha
+    # disc shrinks to what the truncation audit admits, so neither seeded
+    # random start is rejected
+    counts = (row["evaluations"], row["gradients"], row["truncation_rejects"], row["converged"])
+    assert counts == (3, 0, 0, False)
+    assert list(row)[list(row).index("evaluations") + 1] == "gradients"
 
 
 @pytest.mark.parametrize("bad", [{"budget": 0}, {"budget": -1}, {"restarts": 0}, {"restarts": -3}])

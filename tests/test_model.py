@@ -24,8 +24,12 @@ from urlab.model import (
     quad_mix,
     quad_plus,
     _annihilation,
+    _displacement_edge,
+    _displacement_turn,
+    _evolve,
     _ideal_tail,
     _squeeze_edge,
+    _squeezed_tangents,
     sample,
     spin_operators,
     squeezed_state,
@@ -257,6 +261,44 @@ def test_squeezed_matches_dense_generator_exponential(n):
         assert np.max(np.abs(got - dense_squeezed(alpha, r, phi, n))) < 1e-12
 
 
+@pytest.mark.parametrize("n", [16, 64, 512])
+def test_squeezed_tangents_match_central_differences(n):
+    # d psi / d(Re alpha, Im alpha, r, phi) of the state as built, at and near
+    # alpha = 0 (where the polar chain rule is singular) and away from it;
+    # tail_tol=1 switches the audit off, since the tangents are those of the
+    # truncated state whatever its tail
+    edge, h = _squeeze_edge(n, 0.0), 1e-6
+    build = lambda x: squeezed_state(complex(x[0], x[1]), x[2], x[3], n, tail_tol=1.0).amplitudes
+    worst = 0.0
+    # 9e-4: divided differences, just below where the polar rule takes over
+    for amag in (0.0, 1e-9, 1e-4, 9e-4, 1.0):
+        for r in (0.0, 0.3, -0.3, 0.9 * edge, -0.9 * edge):
+            for phi in (0.0, 1.3, 2.9, 4.4):
+                for aph in (0.0, 2.2):
+                    x = np.array([amag * math.cos(aph), amag * math.sin(aph), r, phi])
+                    psi = build(x)
+                    got = _squeezed_tangents(complex(x[0], x[1]), r, phi, psi)
+                    for j, e in enumerate(h * np.eye(4)):
+                        want = (build(x + e) - build(x - e)) / (2 * h)
+                        worst = max(worst, float(np.abs(got[j] - want).max()))
+    assert worst < 1e-8
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_displacement_turn_matches_the_polar_rule(n):
+    # where the polar rule i (L U v - U L v) / s loses few digits, the divided
+    # differences agree with it, on a vector spread over every eigenvector
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    levels = np.arange(n)
+    for s in (2e-3, 0.05, 0.5):
+        for theta in (0.0, 1.1):
+            u, ul = _evolve(n, 1, s, theta, v), _evolve(n, 1, s, theta, levels * v)
+            polar = 1j * (levels * u - ul) / s
+            got = _displacement_turn(n, s, theta, v)
+            assert np.abs(got - polar).max() < 1e-9 * np.abs(polar).max()
+
+
 def gaussian_moment_errors(alpha, r, phi, n):
     """Relative errors of <q>, <p>, Δq², Δp² and the symmetrized covariance
     against the closed forms of the ideal displaced squeezed state."""
@@ -462,6 +504,23 @@ def test_squeeze_edge_admits_every_phase(n, amag):
     # the worst phase: displaced along the anti-squeezed quadrature
     with pytest.raises(TruncationError):
         squeezed_state(amag, -1.001 * edge, 0.0, n)
+
+
+@pytest.mark.parametrize("n", [8, 16, 24, 64, 512])
+def test_displacement_edge_inverts_the_squeeze_edge(n):
+    # (at r near the edge of alpha = 0 the squeeze edge is flat in alpha, and
+    # its own 2^-20 grid in r blurs where it crosses r)
+    for r in (0.0, 0.5 * _squeeze_edge(n, 0.0), 0.7 * _squeeze_edge(n, 0.0)):
+        edge = _displacement_edge(n, r, math.sqrt(n) + 1)
+        assert 0 <= edge < math.sqrt(n) + 1
+        assert _squeeze_edge(n, edge) >= r
+        # three grid steps on (one given back, one more for rounding) the audit fails
+        try:
+            assert _squeeze_edge(n, edge + 3 / 2**20) < r
+        except TruncationError:
+            pass
+        # a cap that fits comes back as it is
+        assert _displacement_edge(n, r, 0.5 * edge) == 0.5 * edge
 
 
 @pytest.mark.parametrize("n,amag,need", [(13, 1.0, 14), (16, 1.4, 17)])
