@@ -42,20 +42,31 @@ def stream_rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, tag])
 
 
+# The draws below are valid by construction, so they skip the constructors'
+# audits. Each complex array comes from one standard_normal call, all real
+# parts first and then all imaginary parts: seeded reports depend on this order.
+
+
 def rand_observable(rng: np.random.Generator, dim: int, name: str = "H") -> Observable:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return Observable(name, (g + g.conj().T) / 2)
+    """GUE matrix (g + g^dag)/2, exactly Hermitian in floating point too."""
+    z = rng.standard_normal((2, dim, dim))
+    g = z[0] + 1j * z[1]
+    return Observable(name, (g + g.conj().T) / 2, _trusted=True)
 
 
 def rand_pure(rng: np.random.Generator, dim: int) -> PureState:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return PureState(v / np.linalg.norm(v))
+    """Haar-random pure state, normalised by its own norm."""
+    z = rng.standard_normal((2, dim))
+    v = z[0] + 1j * z[1]
+    return PureState(v / np.linalg.norm(v), _trusted=True)
 
 
 def rand_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    """Ginibre density matrix: a Gram matrix g g^dag divided by its trace."""
+    z = rng.standard_normal((2, dim, dim))
+    g = z[0] + 1j * z[1]
     m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real)
+    return DensityMatrix(m / np.trace(m).real, _trusted=True)
 
 
 def rand_state(rng: np.random.Generator, dim: int, allow_mixed: bool):

@@ -12,7 +12,7 @@ import bisect
 import cmath
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -63,14 +63,28 @@ def _sub_digest(tag: bytes, a: np.ndarray) -> bytes:
     return h.digest()
 
 
+# Observable, PureState and DensityMatrix validate in __post_init__, which the
+# generated __init__ calls once per object. The keyword-only, init-only flag
+# `_trusted` is for the package's own builders, whose arrays are valid by
+# construction: a fresh complex array of the right shape that no one else
+# holds. With it set, __post_init__ only freezes that array in place, with no
+# audit and no copy; without it (the default, and every path that carries user
+# input) every audit runs.
+
+
 @dataclass(frozen=True, eq=False)
 class Observable:
     """A named Hermitian matrix acting on an N-dimensional Hilbert space."""
 
     name: str
     matrix: np.ndarray
+    _: KW_ONLY
+    _trusted: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _trusted):
+        if _trusted:
+            self.matrix.setflags(write=False)
+            return
         m = require_hermitian(self.matrix, f"observable {self.name!r}")
         object.__setattr__(self, "matrix", _frozen(m))
 
@@ -90,8 +104,13 @@ class PureState:
     """Unit vector over the shared Hilbert space."""
 
     amplitudes: np.ndarray
+    _: KW_ONLY
+    _trusted: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _trusted):
+        if _trusted:
+            self.amplitudes.setflags(write=False)
+            return
         a = np.asarray(self.amplitudes, dtype=complex).ravel()
         if not np.isfinite(a.view(float)).all():
             raise InputError("state amplitudes contain non-finite entries")
@@ -99,15 +118,6 @@ class PureState:
         if abs(nrm - 1.0) > NORM_TOL:
             raise InputError(f"pure state is not normalized (norm {nrm!r})")
         object.__setattr__(self, "amplitudes", _frozen(a))
-
-    @classmethod
-    def _trusted(cls, amplitudes: np.ndarray) -> PureState:
-        """Wrap a complex unit vector that its builder has just made and
-        normalised, without auditing or copying it; the array is frozen in place."""
-        amplitudes.setflags(write=False)
-        state = object.__new__(cls)
-        object.__setattr__(state, "amplitudes", amplitudes)
-        return state
 
     @property
     def dim(self) -> int:
@@ -124,8 +134,13 @@ class DensityMatrix:
     """Positive semidefinite, unit-trace Hermitian matrix."""
 
     matrix: np.ndarray
+    _: KW_ONLY
+    _trusted: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _trusted):
+        if _trusted:
+            self.matrix.setflags(write=False)
+            return
         m = require_hermitian(self.matrix, "density matrix")
         w = np.linalg.eigvalsh(m)
         if not psd_certified(w):
@@ -224,7 +239,7 @@ def coherent_state(alpha: complex, n: int) -> PureState:
     amp[0] = 1.0
     for k in range(1, n):
         amp[k] = amp[k - 1] * alpha / math.sqrt(k)
-    return PureState._trusted(amp / np.linalg.norm(amp))
+    return PureState(amp / np.linalg.norm(amp), _trusted=True)
 
 
 _SQRT = tuple(math.sqrt(k) for k in range(MAX_DIM))
@@ -392,6 +407,20 @@ def _displacement_turn(n: int, s: float, theta: float, vec: np.ndarray) -> np.nd
     return ph * _real_matvec(v, (b * f) @ _real_matvec(v.T, ph.conj() * vec))
 
 
+# a slack gradient takes its slots' tangents at the parameters its objective
+# has just built them at, so a few recent entries suffice
+@lru_cache(maxsize=8)
+def _squeezed_vacuum(n: int, r: float, phi: float) -> np.ndarray:
+    """S(r e^{i phi}) |0> in dimension n, before renormalisation, read-only:
+    the squeeze acts on the even levels only."""
+    v = np.zeros(n, dtype=complex)
+    v[0] = 1.0
+    if r != 0:
+        v[0::2] = _evolve(n, 2, 0.5 * r, phi - 0.5 * math.pi, None)
+    v.setflags(write=False)
+    return v
+
+
 def _squeezed_tangents(alpha: complex, r: float, phi: float, psi: np.ndarray) -> np.ndarray:
     """Rows d psi / d(Re alpha, Im alpha, r, phi) of psi = squeezed_state(alpha,
     r, phi, psi.size).amplitudes, for the truncated, normalised state as built.
@@ -404,15 +433,13 @@ def _squeezed_tangents(alpha: complex, r: float, phi: float, psi: np.ndarray) ->
     - d/dr and d/dphi of v are -(i/2) P T_2 P† v and i L v on the even levels,
       O(N) since L e_0 = 0, each then evolved through U_D.
     The normalisation psi = w / |w| is differentiated in closed form,
-    d psi = dw - psi Re<psi, dw>. The state itself is not rebuilt or audited.
+    d psi = dw - psi Re<psi, dw>. The state itself is not rebuilt or audited,
+    and v is the one `squeezed_state` built, shared through `_squeezed_vacuum`.
     """
     n, levels = psi.size, _generator_eigs(psi.size, 1)[2]
     theta2 = phi - 0.5 * math.pi
-    v = np.zeros(n, dtype=complex)
-    v[0] = 1.0
-    if r != 0:
-        v[0::2] = _evolve(n, 2, 0.5 * r, theta2, None)
-        v /= np.linalg.norm(v)
+    v = _squeezed_vacuum(n, r, phi)
+    v = v / np.linalg.norm(v)
     block = np.zeros((n, 3), dtype=complex)  # columns L v, dv/dr, dv/dphi
     block[:, 0] = levels * v
     block[0::2, 1] = -0.5j * _generator_apply(n, 2, theta2, v[0::2])
@@ -459,13 +486,10 @@ def squeezed_state(
     if not (cmath.isfinite(alpha) and math.isfinite(r) and math.isfinite(phi)):
         raise InputError(f"squeezed state parameters must be finite: alpha={alpha}, r={r}, phi={phi}")
     _audit_tail(alpha, r, phi, n, tail_tol, "squeezed state has ideal weight")
-    vec = np.zeros(n, dtype=complex)
-    vec[0] = 1.0
-    if r != 0:
-        vec[0::2] = _evolve(n, 2, 0.5 * r, phi - 0.5 * math.pi, None)
+    vec = _squeezed_vacuum(n, r, phi)
     if alpha != 0:
         vec = _evolve(n, 1, abs(alpha), cmath.phase(alpha) + 0.5 * math.pi, vec)
-    return PureState._trusted(vec / np.linalg.norm(vec))
+    return PureState(vec / np.linalg.norm(vec), _trusted=True)
 
 
 @lru_cache(maxsize=BUILDER_CACHE_SIZE)
@@ -501,15 +525,17 @@ def sample(kind: str, dim: int, seed: int):
     dim = _check_dim(dim)
     rng = np.random.default_rng(seed)
     if kind == "pure":
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        return PureState(v / np.linalg.norm(v))
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        z = rng.standard_normal((2, dim))
+        v = z[0] + 1j * z[1]
+        return PureState(v / np.linalg.norm(v), _trusted=True)
+    z = rng.standard_normal((2, dim, dim))
+    g = z[0] + 1j * z[1]
     if kind == "hermitian":
         return (g + g.conj().T) / 2
     ggd = g @ g.conj().T
     if kind == "psd":
         return ggd
-    return DensityMatrix(ggd / np.trace(ggd).real)
+    return DensityMatrix(ggd / np.trace(ggd).real, _trusted=True)
 
 
 def raw_vector_state(amplitudes) -> PureState:

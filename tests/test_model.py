@@ -624,3 +624,45 @@ def test_density_requires_unit_trace_and_psd():
 def test_observable_requires_hermitian():
     with pytest.raises(InputError):
         Observable("bad", np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def test_sample_states_pass_the_full_audit():
+    for dim in (2, 5, 64):
+        psi, rho = sample("pure", dim, dim), sample("density", dim, dim)
+        assert not psi.amplitudes.flags.writeable and not rho.matrix.flags.writeable
+        assert np.array_equal(PureState(psi.amplitudes).amplitudes, psi.amplitudes)
+        assert np.array_equal(DensityMatrix(rho.matrix).matrix, rho.matrix)
+
+
+_SQUARE_NAN = np.array([[np.nan, 0], [0, 1]], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Observable("wide", np.zeros((2, 3))),
+        lambda: Observable("nan", _SQUARE_NAN),
+        lambda: PureState(np.array([1.0, np.inf])),
+        lambda: DensityMatrix(np.full((1, 2), 0.5)),
+        lambda: DensityMatrix(_SQUARE_NAN),
+        lambda: DensityMatrix(np.array([[0.5, 0.5], [0, 0.5]])),
+    ],
+    ids=["observable-non-square", "observable-non-finite", "pure-non-finite",
+         "density-non-square", "density-non-finite", "density-non-hermitian"],
+)
+def test_constructors_reject_malformed_input(build):
+    with pytest.raises(InputError):
+        build()
+
+
+def test_trusted_flag_is_keyword_only_and_freezes_in_place():
+    m = np.eye(2, dtype=complex) / 2
+    cases = [(Observable, ("h",), "matrix", m), (PureState, (), "amplitudes", 2 * m[0]),
+             (DensityMatrix, (), "matrix", m)]
+    for cls, head, field, a in cases:
+        with pytest.raises(TypeError):
+            cls(*head, a.copy(), True)
+        a = a.copy()
+        # no audit and no copy: the builder's array itself, now read-only
+        assert getattr(cls(*head, a, _trusted=True), field) is a
+        assert not a.flags.writeable
