@@ -10,9 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import UR_SPECS, _pairwise_extended_sides, _schrodinger_sides, evaluate_ur, type_1_2
-from .catalog import slack_derivatives
+from .catalog import _cross_vector, slack_derivatives
 from .errors import InputError, TruncationError
-from .linalg import slack_tolerance
+from .linalg import slack_scale, slack_tolerance
 from .model import Observable, PureState, fock_operators, squeezed_state
 from .model import _displacement_edge, _squeeze_edge, _squeezed_tangents
 from .moments import moment_set
@@ -46,11 +46,7 @@ def saturation_1_2a(x: Observable, psi1: PureState, psi2: PureState) -> Saturati
     for i, s in enumerate((psi1, psi2)):
         if not isinstance(s, PureState):
             raise InputError(f"state {i} must be pure")
-    chis = []
-    for s in (psi1, psi2):
-        xs = x.matrix @ s.amplitudes
-        mean = np.vdot(s.amplitudes, xs).real
-        chis.append(xs - mean * s.amplitudes)
+    chis = [_cross_vector(moment_set((x,), s), s, "a") for s in (psi1, psi2)]
     norms = [float(np.linalg.norm(c)) for c in chis]
     op_scale = max(1.0, float(np.max(np.abs(x.matrix))))
     if min(norms) <= 1e-10 * op_scale:
@@ -80,7 +76,6 @@ class GaussianParams:
 @dataclass(frozen=True)
 class MinimizationResult:
     ur_id: str
-    slots: tuple[GaussianParams, ...]
     slack: float
     tol: float
     iterations: int
@@ -88,6 +83,7 @@ class MinimizationResult:
     gradients: int
     converged: bool
     truncation_rejects: int
+    slots: tuple[GaussianParams, ...]
 
 
 _GRAD_TOL, _F_NOISE = 1e-7, 1e-13  # the certificate; a slack of order one's rounding floor
@@ -270,7 +266,6 @@ def minimize_slack(
     report = evaluate_ur(ur_id, observables, build_states(slot_params(xb)), **extras)
     return MinimizationResult(
         ur_id=ur_id,
-        slots=tuple(slot_params(xb)),
         slack=report.slack,
         tol=report.tol,
         iterations=iters,
@@ -278,6 +273,7 @@ def minimize_slack(
         gradients=gradients,
         converged=conv,
         truncation_rejects=rejects,
+        slots=tuple(slot_params(xb)),
     )
 
 
@@ -301,8 +297,10 @@ class PrecisionStats:
     ``fraction_a_tighter`` orders raw slacks; ``fraction_a_tighter_relative``
     orders the relative saturation defects slack / max(|lhs|, |rhs|), which
     compare meaningfully across checks whose sides live on different scales.
-    Ties count one half toward either fraction. The stored counterexamples
-    are the extremal instances of each relative ordering direction.
+    Ties count one half toward either fraction. ``min_relative_slack_*`` is
+    the least slack / slack_scale(lhs, rhs), the quantity `URReport.holds`
+    compares with -rtol. The stored counterexamples are the extremal
+    instances of each relative ordering direction.
     """
 
     ur_a: str
@@ -313,6 +311,8 @@ class PrecisionStats:
     ties: int
     min_slack_a: float
     min_slack_b: float
+    min_relative_slack_a: float
+    min_relative_slack_b: float
     example_a_tighter: CounterExample | None
     example_b_tighter: CounterExample | None
 
@@ -337,8 +337,7 @@ def compare_precision(
     ties = 0
     ex_a = ex_b = None
     gap_a = gap_b = 0.0
-    min_a = math.inf
-    min_b = math.inf
+    min_a = min_b = min_rel_a = min_rel_b = math.inf
     size = 0
     for label, observables, states in instances:
         try:
@@ -351,6 +350,8 @@ def compare_precision(
         za, zb = _relative_defect(ra), _relative_defect(rb)
         min_a = min(min_a, sa)
         min_b = min(min_b, sb)
+        min_rel_a = min(min_rel_a, sa / slack_scale(ra.lhs, ra.rhs))
+        min_rel_b = min(min_rel_b, sb / slack_scale(rb.lhs, rb.rhs))
         if abs(sa - sb) <= tie_tol * max(1.0, abs(sa), abs(sb)):
             n_raw_a += 0.5
         elif sa < sb:
@@ -378,6 +379,8 @@ def compare_precision(
         ties=ties,
         min_slack_a=min_a,
         min_slack_b=min_b,
+        min_relative_slack_a=min_rel_a,
+        min_relative_slack_b=min_rel_b,
         example_a_tighter=ex_a,
         example_b_tighter=ex_b,
     )

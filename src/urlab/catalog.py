@@ -139,12 +139,6 @@ def _real_audited(z, what: str):
     return z.real
 
 
-def _require_pure(states) -> None:
-    for i, s in enumerate(states):
-        if not isinstance(s, PureState):
-            raise InputError(f"state {i} must be pure for this check")
-
-
 # ---------------------------------------------------------------------------
 # records and sides
 #
@@ -156,16 +150,24 @@ def _require_pure(states) -> None:
 # `slack_derivatives` evaluates the same formulas on such a record.
 
 
-def _gather(observables, states, cross: str | None = None) -> tuple:
-    """The record of a check: moment_set of the observable tuple in each state;
-    with ``cross`` "a" or "b", the (1,2)/(2,2) record: X (the first observable)
-    in psi1, Y (the last) in psi2, and <u1|u2> with u1 = X|psi1>, u2 = Y|psi2>,
-    centred by their means for "a"."""
+def _slot_observables(observables, cross: str | None, slot: int):
+    """The observables a state slot's MomentSet covers: all of them, or for a
+    (1,2)/(2,2) record (``cross`` "a" or "b") X, the first, in slot 0 and Y,
+    the last, in slot 1."""
     if cross is None:
-        return tuple([moment_set(observables, s) for s in states])
-    psi1, psi2 = states
-    ms1 = moment_set(observables[:1], psi1)
-    ms2 = moment_set(observables[-1:], psi2)
+        return observables
+    return observables[:1] if slot == 0 else observables[-1:]
+
+
+def _gather(observables, states, cross: str | None = None) -> tuple:
+    """The record of a check: the moment_set of each state slot; with
+    ``cross`` "a" or "b", then <u1|u2> with u1 = X|psi1>, u2 = Y|psi2>,
+    centred by their means for "a"."""
+    record = tuple([moment_set(_slot_observables(observables, cross, k), s)
+                    for k, s in enumerate(states)])
+    if cross is None:
+        return record
+    (ms1, ms2), (psi1, psi2) = record, states
     return ms1, ms2, np.vdot(_cross_vector(ms1, psi1, cross), _cross_vector(ms2, psi2, cross))
 
 
@@ -175,9 +177,10 @@ def _cross_vector(ms: MomentSet, psi: PureState, cross: str) -> np.ndarray:
 
 
 def _check(ur_id: str, observables, states, **extras) -> URReport:
-    """Gather the record of a UR_SPECS check, apply its sides and report; the
-    extras' values join the digest in order."""
+    """Admit a call of a UR_SPECS check, gather its record, apply its sides and
+    report; the extras' values join the digest in order."""
     spec = UR_SPECS[ur_id]
+    _admit(spec, observables, states, extras)
     lhs, rhs = spec.sides(_gather(observables, states, spec.cross), extras)
     digest = _digest(ur_id, observables, states, extras.values())
     return _report(ur_id, len(observables), len(states), lhs, rhs, digest)
@@ -296,8 +299,7 @@ def slack_derivatives(ur_id: str, observables, states, tangents: dict, extras: d
     out = []
     for slot, dpsi in tangents.items():
         ms, psi = record[slot], states[slot].amplitudes
-        obs = observables if spec.cross is None else (observables[:1], observables[-1:])[slot]
-        dms, drows = moment_tangent(obs, ms, psi, dpsi)
+        dms, drows = moment_tangent(_slot_observables(observables, spec.cross, slot), ms, psi, dpsi)
         moved = list(record)
         moved[slot] = MomentSet(_line(ms.means, dms.means), _line(ms.sigma, dms.sigma),
                                 _line(ms.cmat, dms.cmat), _line(ms.m2, dms.m2), rows=None)
@@ -330,16 +332,11 @@ def schrodinger(x: Observable, y: Observable, state: QuantumState) -> URReport:
 
 def robertson(observables, state: QuantumState) -> URReport:
     """det sigma >= det C for an n-tuple of observables, n >= 2."""
-    if len(observables) < 2:
-        raise InputError("robertson requires at least 2 observables")
     return _check("robertson", observables, (state,))
 
 
 def characteristic(observables, state: QuantumState, r: int) -> URReport:
     """C_r(sigma) >= C_r(C) for every characteristic order 1 <= r <= n."""
-    n = len(observables)
-    if not 1 <= r <= n:
-        raise InputError(f"order r={r} outside 1..{n}")
     return _check("characteristic", observables, (state,), r=r)
 
 
@@ -354,7 +351,6 @@ def type_3_1(x: Observable, y: Observable, z: Observable, psi: PureState) -> URR
     With Z = Y the slack is exactly twice the Schrödinger slack; with X = Y it
     reduces to ΔX² + ΔZ² >= 2ΔXZ.
     """
-    _require_pure((psi,))
     return _check("type_3_1", (x, y, z), (psi,))
 
 
@@ -392,7 +388,6 @@ def type_2_2(
 
 def _cross_state_pair(family: str, observables, psi1, psi2, variant: str) -> URReport:
     """Body of the (1,2) and (2,2) checks: X is the first observable, Y the last."""
-    _require_pure((psi1, psi2))
     if variant not in ("a", "b"):
         raise InputError(f"variant must be 'a' or 'b', got {variant!r}")
     return _check(family + variant, observables, (psi1, psi2))
@@ -408,7 +403,6 @@ def extended_schrodinger(
 
     With ψ1 = ψ2 this is exactly the Schrödinger check.
     """
-    _require_pure((psi1, psi2))
     return _check("extended_schrodinger", (x, y), (psi1, psi2))
 
 
@@ -422,7 +416,6 @@ def entangled_heisenberg(
     For canonical X, Y the right side is 1/4, i.e. the doubled left side is
     bounded below by 1/2.
     """
-    _require_pure((psi1, psi2))
     return _check("entangled_heisenberg", (x, y), (psi1, psi2))
 
 
@@ -441,9 +434,6 @@ def type_2_m(x: Observable, y: Observable, states) -> URReport:
     half the superadditivity gap of the per-state Robertson matrices at order
     n = 2.
     """
-    m = len(states)
-    if m < 2:
-        raise InputError(f"type_2_m requires m >= 2 states, got {m}")
     return _check("type_2_m", (x, y), states)
 
 
@@ -480,9 +470,10 @@ def char_gap_check(matrices, r: int, flavor: str) -> URReport:
 @dataclass(frozen=True)
 class URSpec:
     """Call signature of a catalog check (how many observables and state slots
-    it takes, whether they accept mixed states), its evaluator, and its sides
-    formula over the record `_gather` makes (``cross`` names the (1,2)/(2,2)
-    cross term, "a" centred or "b" raw). Evaluators call their check by its
+    it takes, whether they accept mixed states, which extras it takes), its
+    evaluator, and its sides formula over the record `_gather` makes
+    (``cross`` names the (1,2)/(2,2) cross term, "a" centred or "b" raw).
+    `_admit` enforces the signature. Evaluators call their check by its
     module-level name, so a rebinding is honoured."""
 
     ur_id: str
@@ -492,6 +483,34 @@ class URSpec:
     evaluate: Callable[[tuple, tuple, dict], URReport]
     sides: Callable[[tuple, dict], tuple] | None = None
     cross: str | None = None
+    extras: tuple[str, ...] = ()
+
+
+def _admit(spec: URSpec, observables, states, extras) -> None:
+    """Raise InputError unless the call fits the check's signature: the counts
+    of observables and states, pure states only where ``pure_only``, only the
+    extras it takes, and an order r in 1..n. `evaluate_ur` admits a call before
+    it dispatches and `_check` before it gathers, so a direct call meets the
+    same rules."""
+    for what, want, got in (
+        ("observables", spec.n_observables, len(observables)),
+        ("states", spec.n_states, len(states)),
+    ):
+        if want > 0 and got != want:
+            raise InputError(f"{spec.ur_id} takes {want} {what}, got {got}")
+        if want < 0 and got < 2:
+            raise InputError(f"{spec.ur_id} takes at least 2 {what}")
+    if spec.pure_only:
+        for i, s in enumerate(states):
+            if not isinstance(s, PureState):
+                raise InputError(f"state {i} must be pure for this check")
+    for key in extras:
+        if key not in spec.extras:
+            takes = ", ".join(spec.extras) or "none"
+            raise InputError(f"{spec.ur_id} takes no extra {key!r} (its extras: {takes})")
+    r, n = extras.get("r"), len(observables)
+    if r is not None and not 1 <= r <= n:
+        raise InputError(f"order r={r} outside 1..{n}")
 
 
 UR_SPECS = {
@@ -507,6 +526,7 @@ UR_SPECS = {
     "characteristic": URSpec(
         "characteristic", -1, 1, False,
         lambda o, s, e: characteristic(o, *s, e.get("r", len(o))), _characteristic_sides,
+        extras=("r",),
     ),
     "type_1_2a": URSpec(
         "type_1_2a", 1, 2, True, lambda o, s, e: type_1_2(*o, *s, "a"), _centered_cross_sides, "a"
@@ -554,31 +574,29 @@ def _char_gap_evaluate(ur_id: str, observables, states, extras) -> URReport:
     return char_gap_from_states(ur_id, observables, states, r=r, h_choice=h_choice)
 
 
-_SPECS = {
+# every check id evaluate_ur takes: UR_SPECS and the two characteristic gaps
+SPECS = {
     **UR_SPECS,
-    **{g: URSpec(g, 0, 0, False, partial(_char_gap_evaluate, g)) for g in CHAR_GAP_IDS},
+    **{
+        g: URSpec(g, 0, 0, False, partial(_char_gap_evaluate, g), extras=("r", "h_choice"))
+        for g in CHAR_GAP_IDS
+    },
 }
 
 
 def evaluate_ur(ur_id: str, observables, states, **extras) -> URReport:
     """Evaluate a catalog check by name on explicit observables and states.
 
-    ``extras`` forwards check-specific parameters: r (characteristic and the
-    characteristic gaps), h_choice (the characteristic gaps).
+    ``extras`` forwards check-specific parameters, those its spec declares:
+    r (characteristic and the characteristic gaps), h_choice (the
+    characteristic gaps). The call is admitted (`_admit`) before it dispatches.
     """
-    spec = _SPECS.get(ur_id)
+    spec = SPECS.get(ur_id)
     if spec is None:
         raise InputError(f"unknown UR id {ur_id!r}")
     observables = tuple(observables)
     states = tuple(states)
-    for what, want, got in (
-        ("observables", spec.n_observables, len(observables)),
-        ("states", spec.n_states, len(states)),
-    ):
-        if want > 0 and got != want:
-            raise InputError(f"{ur_id} takes {want} {what}, got {got}")
-        if want < 0 and got < 2:
-            raise InputError(f"{ur_id} takes at least 2 {what}")
+    _admit(spec, observables, states, extras)
     return spec.evaluate(observables, states, extras)
 
 

@@ -10,6 +10,7 @@ validity error, 4 numeric error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import compare_precision, minimize_slack, divergence
-from .catalog import CHAR_GAP_IDS, H_CHOICES, UR_SPECS, URReport, evaluate_ur
+from .catalog import H_CHOICES, SPECS, URReport, evaluate_ur
 from .ensembles import (
     DEFAULT_SCAN_URS,
     coherent_pair_grid,
@@ -56,6 +57,9 @@ EXIT_INPUT = 3
 EXIT_NUMERIC = 4
 
 _JSON_WHITESPACE = " \t\n\r"
+# the keys a scan's `pinned` object and `urs` entries take: the shape of the
+# instances drawn, and the extras of the checks drawn
+_SCAN_PINS = ("dim", "n", "m", "r", "h_choice")
 # check extras and scan pins that hold integers
 _INT_EXTRAS = ("dim", "n", "m", "r")
 
@@ -148,14 +152,18 @@ def _parse_ur_id(value, what: str) -> str:
     return value
 
 
-def _parse_extras(extras, what: str) -> dict:
-    """Check extras or scan pins: integer fields parsed, `h_choice` one of
-    H_CHOICES.
+def _parse_extras(extras, what: str, keys) -> dict:
+    """Check extras or scan pins: every key one of ``keys``, integer fields
+    parsed, `h_choice` one of H_CHOICES.
 
     Every command that forwards extras to a check parses them here.
     """
     if not isinstance(extras, dict):
         raise ConfigError(f"{what} must be an object, got {extras!r}")
+    for key in extras:
+        if key not in keys:
+            takes = ", ".join(keys) or "none"
+            raise ConfigError(f"{what} has unknown key {key!r} (it takes: {takes})")
     out = dict(extras)
     for key in _INT_EXTRAS:
         if key in out:
@@ -216,7 +224,15 @@ def build_state(spec: dict, dim: int):
     raise ConfigError(f"unknown state builder {builder!r}")
 
 
-def _ur_entries(config) -> list[tuple[str, dict]]:
+def _extras_of(ur_id: str) -> tuple[str, ...]:
+    """The extras a check takes; none for an id the library will reject."""
+    spec = SPECS.get(ur_id)
+    return spec.extras if spec else ()
+
+
+def _ur_entries(config, pins: tuple[str, ...] = ()) -> list[tuple[str, dict]]:
+    """The `urs` list as (id, extras) pairs. An entry's keys besides `id` are
+    the check's own extras, or for a scan (``pins`` given) its scan pins."""
     urs = config.get("urs")
     if urs == "all":
         return [(ur, {}) for ur in DEFAULT_SCAN_URS]
@@ -225,16 +241,15 @@ def _ur_entries(config) -> list[tuple[str, dict]]:
     out = []
     for entry in urs:
         if isinstance(entry, str):
-            out.append((entry, {}))
+            ur_id, extras = entry, {}
         elif isinstance(entry, dict) and "id" in entry:
             ur_id = _parse_ur_id(entry["id"], "a UR entry's 'id'")
             extras = {k: v for k, v in entry.items() if k != "id"}
-            out.append((ur_id, _parse_extras(extras, f"{ur_id!r} entry")))
         else:
             raise ConfigError(f"bad UR entry {entry!r}")
-    for ur_id, _ in out:
-        if ur_id not in UR_SPECS and ur_id not in CHAR_GAP_IDS:
+        if ur_id not in SPECS:
             raise ConfigError(f"unknown UR id {ur_id!r}")
+        out.append((ur_id, _parse_extras(extras, f"{ur_id!r} entry", pins or SPECS[ur_id].extras)))
     return out
 
 
@@ -266,13 +281,9 @@ def _slack_rtol(config) -> float:
     return rtol
 
 
-def _violated(report: URReport, rtol: float) -> bool:
-    return report.slack < -rtol * slack_scale(report.lhs, report.rhs)
-
-
 def _report_row(report: URReport, rtol: float) -> dict:
     row = report.as_dict()
-    row["holds"] = not _violated(report, rtol)
+    row["holds"] = report.holds(rtol)
     return row
 
 
@@ -313,11 +324,11 @@ def run_scan(config: dict, seed: int, dim: int) -> tuple[dict, int]:
         dims = list(range(lo, hi + 1))
     else:
         dims = _parse_dims(dims_cfg)
-    pinned = _parse_extras(config.get("pinned", {}), "pinned")
+    pinned = _parse_extras(config.get("pinned", {}), "pinned", _SCAN_PINS)
     rows = []
     n_viol = 0
     worst_overall = float("inf")
-    for ur_id, extras in _ur_entries(config):
+    for ur_id, extras in _ur_entries(config, _SCAN_PINS):
         rng = stream_rng(seed, f"scan:{ur_id}")
         pins = dict(pinned)
         pins.update(extras)
@@ -332,7 +343,7 @@ def run_scan(config: dict, seed: int, dim: int) -> tuple[dict, int]:
             if rel < worst:
                 worst = rel
                 worst_digest = report.inputs_digest
-            if _violated(report, rtol):
+            if not report.holds(rtol):
                 violations += 1
         n_viol += violations
         worst_overall = min(worst_overall, worst)
@@ -384,22 +395,10 @@ def run_minimize(config: dict, seed: int, dim: int) -> tuple[dict, int]:
         budget=_parse_int(config.get("budget", 400), "budget", least=1),
         restarts=_parse_int(config.get("restarts", 8), "restarts", least=1),
         seed=seed,
-        extras=_parse_extras(config.get("extras") or {}, "extras"),
+        extras=_parse_extras(config.get("extras") or {}, "extras", _extras_of(ur_id)),
     )
-    row = {
-        "ur_id": result.ur_id,
-        "slack": result.slack,
-        "tol": result.tol,
-        "iterations": result.iterations,
-        "evaluations": result.evaluations,
-        "gradients": result.gradients,
-        "converged": result.converged,
-        "truncation_rejects": result.truncation_rejects,
-        "slots": [
-            {"alpha": [s.alpha.real, s.alpha.imag], "r": s.r, "phi": s.phi}
-            for s in result.slots
-        ],
-    }
+    row = dataclasses.asdict(result)
+    row["slots"] = [dict(s, alpha=[s["alpha"].real, s["alpha"].imag]) for s in row["slots"]]
     body = {"results": [row], "summary": {"best_slack": result.slack}}
     code = EXIT_VIOLATION if result.slack < -result.tol else EXIT_OK
     return body, code
@@ -433,36 +432,12 @@ def run_compare(config: dict, seed: int, dim: int) -> tuple[dict, int]:
         ur_a,
         ur_b,
         _compare_instances(config, seed, dim),
-        extras_a=_parse_extras(config.get("extras_a") or {}, "extras_a"),
-        extras_b=_parse_extras(config.get("extras_b") or {}, "extras_b"),
+        extras_a=_parse_extras(config.get("extras_a") or {}, "extras_a", _extras_of(ur_a)),
+        extras_b=_parse_extras(config.get("extras_b") or {}, "extras_b", _extras_of(ur_b)),
     )
-
-    def ex_dict(ex):
-        if ex is None:
-            return None
-        return {
-            "label": ex.label,
-            "slack_a": ex.slack_a,
-            "slack_b": ex.slack_b,
-            "defect_a": ex.defect_a,
-            "defect_b": ex.defect_b,
-        }
-
-    row = {
-        "ur_a": stats.ur_a,
-        "ur_b": stats.ur_b,
-        "size": stats.size,
-        "fraction_a_tighter": stats.fraction_a_tighter,
-        "fraction_a_tighter_relative": stats.fraction_a_tighter_relative,
-        "ties": stats.ties,
-        "min_slack_a": stats.min_slack_a,
-        "min_slack_b": stats.min_slack_b,
-        "example_a_tighter": ex_dict(stats.example_a_tighter),
-        "example_b_tighter": ex_dict(stats.example_b_tighter),
-    }
     rtol = _slack_rtol(config)
-    violated = stats.min_slack_a < -rtol or stats.min_slack_b < -rtol
-    body = {"results": [row], "summary": {"all_hold": not violated}}
+    violated = stats.min_relative_slack_a < -rtol or stats.min_relative_slack_b < -rtol
+    body = {"results": [dataclasses.asdict(stats)], "summary": {"all_hold": not violated}}
     return body, EXIT_VIOLATION if violated else EXIT_OK
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .catalog import CHAR_GAP_IDS, H_CHOICES, UR_SPECS, URReport, evaluate_ur
 from .errors import InputError
-from .model import DensityMatrix, Observable, PureState, coherent_state, fock_operators
+from .model import coherent_state, fock_operators, rand_density, rand_observable, rand_pure
 
 # Checks scanned by default: every displayed inequality plus the two
 # characteristic-gap flavors. coherent_fixed is excluded because its premise
@@ -40,33 +40,6 @@ def stream_rng(seed: int, name: str) -> np.random.Generator:
     """Independent deterministic substream for a named scan lane."""
     tag = int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "big")
     return np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, tag])
-
-
-# The draws below are valid by construction, so they skip the constructors'
-# audits. Each complex array comes from one standard_normal call, all real
-# parts first and then all imaginary parts: seeded reports depend on this order.
-
-
-def rand_observable(rng: np.random.Generator, dim: int, name: str = "H") -> Observable:
-    """GUE matrix (g + g^dag)/2, exactly Hermitian in floating point too."""
-    z = rng.standard_normal((2, dim, dim))
-    g = z[0] + 1j * z[1]
-    return Observable(name, (g + g.conj().T) / 2, _trusted=True)
-
-
-def rand_pure(rng: np.random.Generator, dim: int) -> PureState:
-    """Haar-random pure state, normalised by its own norm."""
-    z = rng.standard_normal((2, dim))
-    v = z[0] + 1j * z[1]
-    return PureState(v / np.linalg.norm(v), _trusted=True)
-
-
-def rand_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
-    """Ginibre density matrix: a Gram matrix g g^dag divided by its trace."""
-    z = rng.standard_normal((2, dim, dim))
-    g = z[0] + 1j * z[1]
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real, _trusted=True)
 
 
 def rand_state(rng: np.random.Generator, dim: int, allow_mixed: bool):

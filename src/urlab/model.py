@@ -458,13 +458,7 @@ def _squeezed_tangents(alpha: complex, r: float, phi: float, psi: np.ndarray) ->
     return out - np.outer((out @ psi.conj()).real, psi)
 
 
-def squeezed_state(
-    alpha: complex,
-    r: float,
-    phi: float,
-    n: int,
-    tail_tol: float = SQUEEZED_TAIL_TOL,
-) -> PureState:
+def squeezed_state(alpha: complex, r: float, phi: float, n: int) -> PureState:
     """Displaced squeezed vacuum D(alpha) S(r e^{i phi}) |0>.
 
     Both unitaries are exponentials of the truncated generators (a†² vs a² for
@@ -479,17 +473,23 @@ def squeezed_state(
     up to truncation error.
 
     Before building, the weight of the ideal (untruncated) state on levels
-    >= n-2 is audited against `tail_tol`; a state above it is rejected with
-    the smallest admissible dimension as a hint.
+    >= n-2 is audited against SQUEEZED_TAIL_TOL; a state above it is rejected
+    with the smallest admissible dimension as a hint.
     """
     n = _check_dim(n)
     if not (cmath.isfinite(alpha) and math.isfinite(r) and math.isfinite(phi)):
         raise InputError(f"squeezed state parameters must be finite: alpha={alpha}, r={r}, phi={phi}")
-    _audit_tail(alpha, r, phi, n, tail_tol, "squeezed state has ideal weight")
+    _audit_tail(alpha, r, phi, n, SQUEEZED_TAIL_TOL, "squeezed state has ideal weight")
+    return PureState(_squeezed_amplitudes(alpha, r, phi, n), _trusted=True)
+
+
+def _squeezed_amplitudes(alpha: complex, r: float, phi: float, n: int) -> np.ndarray:
+    """The amplitudes `squeezed_state` builds, renormalized, without its
+    truncation audit: a fresh array."""
     vec = _squeezed_vacuum(n, r, phi)
     if alpha != 0:
         vec = _evolve(n, 1, abs(alpha), cmath.phase(alpha) + 0.5 * math.pi, vec)
-    return PureState(vec / np.linalg.norm(vec), _trusted=True)
+    return vec / np.linalg.norm(vec)
 
 
 @lru_cache(maxsize=BUILDER_CACHE_SIZE)
@@ -514,28 +514,56 @@ def spin_operators(j: float) -> tuple[Observable, Observable, Observable]:
     return Observable("Jx", jx), Observable("Jy", jy), Observable("Jz", jz)
 
 
+# The random draws below are valid by construction, so they skip the
+# constructors' audits. Each complex array comes from one standard_normal
+# call, all real parts first and then all imaginary parts: seeded reports
+# depend on this order.
+
+
+def rand_observable(rng: np.random.Generator, dim: int, name: str = "H") -> Observable:
+    """GUE matrix (g + g^dag)/2, exactly Hermitian in floating point too."""
+    z = rng.standard_normal((2, dim, dim))
+    g = z[0] + 1j * z[1]
+    return Observable(name, (g + g.conj().T) / 2, _trusted=True)
+
+
+def rand_pure(rng: np.random.Generator, dim: int) -> PureState:
+    """Haar-random pure state, normalised by its own norm."""
+    z = rng.standard_normal((2, dim))
+    v = z[0] + 1j * z[1]
+    return PureState(v / np.linalg.norm(v), _trusted=True)
+
+
+def _ginibre_gram(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """g g^dag for a complex Ginibre matrix g: psd."""
+    z = rng.standard_normal((2, dim, dim))
+    g = z[0] + 1j * z[1]
+    return g @ g.conj().T
+
+
+def rand_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
+    """Ginibre density matrix: a Gram matrix g g^dag divided by its trace."""
+    m = _ginibre_gram(rng, dim)
+    return DensityMatrix(m / np.trace(m).real, _trusted=True)
+
+
 def sample(kind: str, dim: int, seed: int):
     """Seeded random objects: Haar pure states, Ginibre densities, Hermitian/psd matrices.
 
     The output is a pure function of (kind, dim, seed): identical arguments
-    reproduce identical values bit for bit.
+    reproduce identical values bit for bit. The matrices are writable arrays.
     """
     if kind not in _SAMPLE_KINDS:
         raise InputError(f"unknown sample kind {kind!r}; expected one of {_SAMPLE_KINDS}")
     dim = _check_dim(dim)
     rng = np.random.default_rng(seed)
     if kind == "pure":
-        z = rng.standard_normal((2, dim))
-        v = z[0] + 1j * z[1]
-        return PureState(v / np.linalg.norm(v), _trusted=True)
-    z = rng.standard_normal((2, dim, dim))
-    g = z[0] + 1j * z[1]
+        return rand_pure(rng, dim)
+    if kind == "density":
+        return rand_density(rng, dim)
     if kind == "hermitian":
-        return (g + g.conj().T) / 2
-    ggd = g @ g.conj().T
-    if kind == "psd":
-        return ggd
-    return DensityMatrix(ggd / np.trace(ggd).real, _trusted=True)
+        return np.array(rand_observable(rng, dim).matrix)
+    return _ginibre_gram(rng, dim)
 
 
 def raw_vector_state(amplitudes) -> PureState:

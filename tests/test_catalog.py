@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from urlab import catalog
 from urlab.catalog import (
     CHAR_GAP_IDS,
     UR_SPECS,
@@ -758,6 +759,46 @@ def test_pure_only_ids_reject_a_density_matrix(ur_id):
     observables, states = _table_instance(rng, ur_id, last)
     with pytest.raises(InputError, match=rf"^state {last} must be pure for this check$"):
         evaluate_ur(ur_id, observables, states)
+
+
+def _outcome(call):
+    """A call's report, or the message of the InputError it raised."""
+    try:
+        return call().as_dict()
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+@pytest.mark.parametrize("ur_id", sorted(UR_SPECS))
+def test_direct_and_table_calls_meet_one_gate(ur_id):
+    # a wrong count of observables or states, a density matrix in the last
+    # slot and an unknown extra: the public function (where its signature can
+    # carry the input) and `_check`, which every public function calls, admit
+    # exactly what evaluate_ur admits, and say why not in the same words
+    spec = UR_SPECS[ur_id]
+    _, _, extras, public = TABLE_CASES[ur_id]
+    rng = np.random.default_rng(43)
+    observables, states = _table_instance(rng, ur_id, None)
+    wrong = lambda want: 1 if want < 0 else want + 1
+    cases = {
+        "observables": (rand_observables(rng, wrong(spec.n_observables), 4), states, extras),
+        "states": (observables, [rand_pure(rng, 4)] * wrong(spec.n_states), extras),
+        "mixed": (observables, states[:-1] + [sample("density", 4, 44)], extras),
+        "extra": (observables, states, dict(extras, bogus=1)),
+    }
+    for case, (o, s, e) in cases.items():
+        via_table = _outcome(lambda: evaluate_ur(ur_id, o, s, **e))
+        assert _outcome(lambda: catalog._check(ur_id, o, s, **e)) == via_table, case
+        reachable = {"observables": spec.n_observables < 0, "states": spec.n_states < 0,
+                     "mixed": True, "extra": False}[case]
+        if reachable:
+            assert _outcome(lambda: public(o, s)) == via_table, case
+        rejected = case != "mixed" or spec.pure_only
+        assert isinstance(via_table, str) == rejected, (case, via_table)
+    takes = ", ".join(spec.extras) or "none"
+    assert _outcome(lambda: evaluate_ur(ur_id, observables, states, bogus=1)) == (
+        f"InputError: {ur_id} takes no extra 'bogus' (its extras: {takes})"
+    )
 
 
 def test_realness_audit_passes_on_admissible_inputs():

@@ -359,6 +359,24 @@ def test_compare_command_coherent_grid(tmp_path):
     assert row["example_b_tighter"] is not None
 
 
+def test_compare_verdict_is_relative_like_check(tmp_path, monkeypatch):
+    # heisenberg on coherent states with q and p scaled by 1e3: sides of order
+    # 2.5e11 whose rounding leaves a slack of about -1e-3, far inside the
+    # relative tolerance; `check` holds every row, so `compare` must too
+    q, p = fock_operators(64)
+    big = (model.Observable("Q", 1e3 * q.matrix), model.Observable("P", 1e3 * p.matrix))
+    axis = np.linspace(-2.0, 2.0, 5)
+    states = [model.coherent_state(complex(a, b), 64) for a in axis for b in axis]
+    instances = [(str(k), big, (st,)) for k, st in enumerate(states)]
+    assert all(urlab.heisenberg(*big, st).holds() for st in states)
+    monkeypatch.setattr("urlab.cli._compare_instances", lambda config, seed, dim: instances)
+    code, doc = run(tmp_path, "compare", dict(COMPARE_GRID, ur_a="heisenberg", ur_b="schrodinger"))
+    row = doc["results"][0]
+    assert row["min_slack_a"] < -1e-8 and row["min_slack_b"] < -1e-8
+    assert -1e-8 <= row["min_relative_slack_a"] < 0 and -1e-8 <= row["min_relative_slack_b"] < 0
+    assert (code, doc["summary"]["all_hold"]) == (0, True)
+
+
 def test_divergence_command_symmetry(tmp_path):
     config = {
         "observable": {"builder": "fock_q"},
@@ -627,6 +645,32 @@ EXTRA_FIELDS = {
         ("extras_a", "r"),
     ),
 }
+
+
+# key -> (command, valid config, path to the object that gets the key, which
+# the check or scan does not take)
+UNKNOWN_EXTRA_KEYS = {
+    "R": ("check", dict(CHECK_VACUUM, hilbert_dim=16, urs=[{"id": "characteristic"}]), ("urs", 0)),
+    "r": ("check", dict(CHECK_VACUUM, urs=[{"id": "heisenberg"}]), ("urs", 0)),
+    "m": ("check", dict(CHECK_VACUUM, urs=[{"id": "char_gap_entangled"}]), ("urs", 0)),
+    "dim": ("check", dict(CHECK_VACUUM, urs=[{"id": "schrodinger"}]), ("urs", 0)),
+    "hchoice": ("scan", dict(SCAN_TINY, urs=[{"id": "char_gap_entangled"}]), ("urs", 0)),
+    "dims": ("scan", dict(SCAN_TINY, pinned={}), ("pinned",)),
+    "rr": ("minimize", dict(MINIMIZE_TINY, ur="characteristic", fixed_states={}, extras={}),
+           ("extras",)),
+    "h_choice": ("minimize", dict(MINIMIZE_TINY, extras={}), ("extras",)),
+    "order": ("compare", dict(COMPARE_RANDOM, extras_a={}), ("extras_a",)),
+    "n": ("compare", dict(COMPARE_RANDOM, ur_a="robertson", ur_b="characteristic", extras_b={}),
+          ("extras_b",)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(UNKNOWN_EXTRA_KEYS))
+def test_unknown_extra_or_pin_exit2(tmp_path, capsys, key):
+    command, config, path = UNKNOWN_EXTRA_KEYS[key]
+    assert run(tmp_path, command, config)[0] == 0
+    assert run(tmp_path, command, with_path(config, path + (key,), 1))[0] == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field", sorted(EXTRA_FIELDS))

@@ -29,6 +29,7 @@ from urlab.model import (
     _evolve,
     _ideal_tail,
     _squeeze_edge,
+    _squeezed_amplitudes,
     _squeezed_tangents,
     sample,
     spin_operators,
@@ -254,10 +255,10 @@ def gaussian_grid(seed, dims, per_dim):
 
 @pytest.mark.parametrize("n", [2, 3, 17, 64, 257, 512])
 def test_squeezed_matches_dense_generator_exponential(n):
-    # tail_tol=1 switches the audit off so that the construction itself is
-    # compared at every dimension, dims 2 and 3 included
+    # the unaudited construction, so that it is compared at every dimension,
+    # dims 2 and 3 included
     for alpha, r, phi, _ in gaussian_grid(100 + n, [n], 5):
-        got = squeezed_state(alpha, r, phi, n, tail_tol=1.0).amplitudes
+        got = _squeezed_amplitudes(alpha, r, phi, n)
         assert np.max(np.abs(got - dense_squeezed(alpha, r, phi, n))) < 1e-12
 
 
@@ -265,10 +266,10 @@ def test_squeezed_matches_dense_generator_exponential(n):
 def test_squeezed_tangents_match_central_differences(n):
     # d psi / d(Re alpha, Im alpha, r, phi) of the state as built, at and near
     # alpha = 0 (where the polar chain rule is singular) and away from it;
-    # tail_tol=1 switches the audit off, since the tangents are those of the
+    # the unaudited construction, since the tangents are those of the
     # truncated state whatever its tail
     edge, h = _squeeze_edge(n, 0.0), 1e-6
-    build = lambda x: squeezed_state(complex(x[0], x[1]), x[2], x[3], n, tail_tol=1.0).amplitudes
+    build = lambda x: _squeezed_amplitudes(complex(x[0], x[1]), x[2], x[3], n)
     worst = 0.0
     # 9e-4: divided differences, just below where the polar rule takes over
     for amag in (0.0, 1e-9, 1e-4, 9e-4, 1.0):
