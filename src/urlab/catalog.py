@@ -477,8 +477,8 @@ class URSpec:
     module-level name, so a rebinding is honoured."""
 
     ur_id: str
-    n_observables: int  # -1 = variable (>= 2), 0 = any number
-    n_states: int  # -1 = variable (>= 2), 0 = any number
+    n_observables: int  # -1 = at least 2, 0 = at least 1 (the two gaps)
+    n_states: int  # -1 = at least 2, 0 = at least 1 (the two gaps)
     pure_only: bool
     evaluate: Callable[[tuple, tuple, dict], URReport]
     sides: Callable[[tuple, dict], tuple] | None = None
@@ -488,29 +488,33 @@ class URSpec:
 
 def _admit(spec: URSpec, observables, states, extras) -> None:
     """Raise InputError unless the call fits the check's signature: the counts
-    of observables and states, pure states only where ``pure_only``, only the
-    extras it takes, and an order r in 1..n. `evaluate_ur` admits a call before
-    it dispatches and `_check` before it gathers, so a direct call meets the
-    same rules."""
+    of observables and states, only the extras it takes, an integer order r in
+    1..n, an h_choice of H_CHOICES, and pure states only where ``pure_only`` or
+    the h_choice builds a Gram. `evaluate_ur` admits a call before it
+    dispatches and `_check` before it gathers, so a direct call meets the same
+    rules."""
     for what, want, got in (
         ("observables", spec.n_observables, len(observables)),
         ("states", spec.n_states, len(states)),
     ):
         if want > 0 and got != want:
             raise InputError(f"{spec.ur_id} takes {want} {what}, got {got}")
-        if want < 0 and got < 2:
-            raise InputError(f"{spec.ur_id} takes at least 2 {what}")
-    if spec.pure_only:
-        for i, s in enumerate(states):
-            if not isinstance(s, PureState):
-                raise InputError(f"state {i} must be pure for this check")
+        if want <= 0 and got < 1 - want:
+            raise InputError(f"{spec.ur_id} takes at least {1 - want} {what}")
     for key in extras:
         if key not in spec.extras:
             takes = ", ".join(spec.extras) or "none"
             raise InputError(f"{spec.ur_id} takes no extra {key!r} (its extras: {takes})")
-    r, n = extras.get("r"), len(observables)
-    if r is not None and not 1 <= r <= n:
-        raise InputError(f"order r={r} outside 1..{n}")
+    r, n = extras.get("r", 1), len(observables)
+    if not (type(r) is int or isinstance(r, np.integer)) or not 1 <= r <= n:  # no bool
+        raise InputError(f"order r must be an integer in 1..{n}, got {r!r}")
+    h_choice = extras.get("h_choice", "robertson")
+    if h_choice not in H_CHOICES:
+        raise InputError(f"h_choice must be one of {H_CHOICES}, got {h_choice!r}")
+    if spec.pure_only or h_choice != "robertson":
+        for i, s in enumerate(states):
+            if not isinstance(s, PureState):
+                raise InputError(f"state {i} must be pure for this check")
 
 
 UR_SPECS = {
@@ -563,22 +567,29 @@ UR_SPECS = {
 }
 
 # The characteristic gaps build one psd matrix per state before checking, so
-# they take any number of observables and states; UR_SPECS lists the others.
+# they take at least one observable and one state; UR_SPECS lists the others.
 CHAR_GAP_IDS = ("char_gap_entangled", "char_gap_superadditive")
-# the per-state matrices char_gap_from_states can build
+# the per-state matrices a characteristic gap can build
 H_CHOICES = ("robertson", "centered", "raw")
 
 
-def _char_gap_evaluate(ur_id: str, observables, states, extras) -> URReport:
-    r, h_choice = extras.get("r"), extras.get("h_choice", "robertson")
-    return char_gap_from_states(ur_id, observables, states, r=r, h_choice=h_choice)
+def _char_gap(ur_id: str, observables, states, extras) -> URReport:
+    """Body of an admitted gap call: one matrix per state by ``h_choice``, the
+    centered and raw Grams with that state in every observable's slot."""
+    h_choice, n = extras.get("h_choice", "robertson"), len(observables)
+    if h_choice == "robertson":
+        mats = [robertson_matrix(observables, s) for s in states]
+    else:
+        gram = gram_centered if h_choice == "centered" else gram_raw
+        mats = [gram(observables, [s] * n) for s in states]
+    return char_gap_check(mats, extras.get("r", n), ur_id.removeprefix("char_gap_"))
 
 
 # every check id evaluate_ur takes: UR_SPECS and the two characteristic gaps
 SPECS = {
     **UR_SPECS,
     **{
-        g: URSpec(g, 0, 0, False, partial(_char_gap_evaluate, g), extras=("r", "h_choice"))
+        g: URSpec(g, 0, 0, False, partial(_char_gap, g), extras=("r", "h_choice"))
         for g in CHAR_GAP_IDS
     },
 }
@@ -603,25 +614,10 @@ def evaluate_ur(ur_id: str, observables, states, **extras) -> URReport:
 def char_gap_from_states(
     ur_kind: str, observables, states, r: int | None = None, h_choice: str = "robertson"
 ) -> URReport:
-    """Build per-state matrices with one of the physical choices and run the
-    requested characteristic gap check over them.
-
-    ``h_choice`` is "robertson", "centered", or "raw"; the centered and raw
-    Gram choices need one pure state per observable and are applied per state
-    by using that state in every slot.
-    """
+    """The characteristic gap ``ur_kind`` over per-state matrices of one of the
+    physical choices ``h_choice`` ("robertson", "centered" or "raw"), at order
+    r (default n), evaluated through `evaluate_ur`."""
     if ur_kind not in CHAR_GAP_IDS:
         raise InputError(f"unknown characteristic-gap kind {ur_kind!r}")
-    mats = []
-    for s in states:
-        if h_choice == "robertson":
-            mats.append(robertson_matrix(observables, s))
-        elif h_choice == "centered":
-            mats.append(gram_centered(observables, [s] * len(observables)))
-        elif h_choice == "raw":
-            mats.append(gram_raw(observables, [s] * len(observables)))
-        else:
-            raise InputError(f"unknown H choice {h_choice!r}")
-    if r is None:
-        r = len(observables)
-    return char_gap_check(mats, r, ur_kind.removeprefix("char_gap_"))
+    extras = {"h_choice": h_choice} if r is None else {"r": r, "h_choice": h_choice}
+    return evaluate_ur(ur_kind, observables, states, **extras)

@@ -10,6 +10,7 @@ import pytest
 from urlab import catalog
 from urlab.catalog import (
     CHAR_GAP_IDS,
+    SPECS,
     UR_SPECS,
     URReport,
     _digest,
@@ -704,30 +705,31 @@ def test_evaluate_ur_dispatch_and_signature_checks():
         evaluate_ur("no_such_ur", (q, p), (vac,))
 
 
-# id -> (number of observables, number of states, extras, the named evaluator called directly)
+# id -> (number of observables, number of states, extras, the public function
+# called directly on (observables, states, extras))
 TABLE_CASES = {
-    "heisenberg": (2, 1, {}, lambda o, s: heisenberg(o[0], o[1], s[0])),
-    "schrodinger": (2, 1, {}, lambda o, s: schrodinger(o[0], o[1], s[0])),
-    "robertson": (3, 1, {}, lambda o, s: robertson(o, s[0])),
-    "characteristic": (3, 1, {"r": 2}, lambda o, s: characteristic(o, s[0], 2)),
-    "type_1_2a": (1, 2, {}, lambda o, s: type_1_2(o[0], s[0], s[1], "a")),
-    "type_1_2b": (1, 2, {}, lambda o, s: type_1_2(o[0], s[0], s[1], "b")),
-    "type_2_1": (2, 1, {}, lambda o, s: type_2_1(o[0], o[1], s[0])),
-    "type_2_2a": (2, 2, {}, lambda o, s: type_2_2(o[0], o[1], s[0], s[1], "a")),
-    "type_2_2b": (2, 2, {}, lambda o, s: type_2_2(o[0], o[1], s[0], s[1], "b")),
-    "extended_schrodinger": (2, 2, {}, lambda o, s: extended_schrodinger(o[0], o[1], s[0], s[1])),
-    "entangled_heisenberg": (2, 2, {}, lambda o, s: entangled_heisenberg(o[0], o[1], s[0], s[1])),
-    "type_3_1": (3, 1, {}, lambda o, s: type_3_1(o[0], o[1], o[2], s[0])),
-    "type_2_m": (2, 3, {}, lambda o, s: type_2_m(o[0], o[1], s)),
-    "coherent_fixed": (2, 1, {}, lambda o, s: coherent_fixed(o[0], o[1], s[0])),
+    "heisenberg": (2, 1, {}, lambda o, s, e: heisenberg(o[0], o[1], s[0])),
+    "schrodinger": (2, 1, {}, lambda o, s, e: schrodinger(o[0], o[1], s[0])),
+    "robertson": (3, 1, {}, lambda o, s, e: robertson(o, s[0])),
+    "characteristic": (3, 1, {"r": 2}, lambda o, s, e: characteristic(o, s[0], e["r"])),
+    "type_1_2a": (1, 2, {}, lambda o, s, e: type_1_2(o[0], s[0], s[1], "a")),
+    "type_1_2b": (1, 2, {}, lambda o, s, e: type_1_2(o[0], s[0], s[1], "b")),
+    "type_2_1": (2, 1, {}, lambda o, s, e: type_2_1(o[0], o[1], s[0])),
+    "type_2_2a": (2, 2, {}, lambda o, s, e: type_2_2(o[0], o[1], s[0], s[1], "a")),
+    "type_2_2b": (2, 2, {}, lambda o, s, e: type_2_2(o[0], o[1], s[0], s[1], "b")),
+    "extended_schrodinger": (2, 2, {}, lambda o, s, e: extended_schrodinger(o[0], o[1], s[0], s[1])),
+    "entangled_heisenberg": (2, 2, {}, lambda o, s, e: entangled_heisenberg(o[0], o[1], s[0], s[1])),
+    "type_3_1": (3, 1, {}, lambda o, s, e: type_3_1(o[0], o[1], o[2], s[0])),
+    "type_2_m": (2, 3, {}, lambda o, s, e: type_2_m(o[0], o[1], s)),
+    "coherent_fixed": (2, 1, {}, lambda o, s, e: coherent_fixed(o[0], o[1], s[0])),
     "char_gap_entangled": (
-        2, 3, {"r": 1}, lambda o, s: char_gap_from_states("char_gap_entangled", o, s, r=1)
+        2, 3, {"r": 1}, lambda o, s, e: char_gap_from_states("char_gap_entangled", o, s, **e)
     ),
     "char_gap_superadditive": (
         3,
         2,
         {"h_choice": "centered"},
-        lambda o, s: char_gap_from_states("char_gap_superadditive", o, s, h_choice="centered"),
+        lambda o, s, e: char_gap_from_states("char_gap_superadditive", o, s, **e),
     ),
 }
 
@@ -741,15 +743,20 @@ def _table_instance(rng, ur_id, mixed_slot):
     return observables, states
 
 
+def _pure(ur_id):
+    """Whether the table case of ``ur_id`` admits pure states only: a pure_only
+    spec, or a characteristic gap that builds Gram matrices."""
+    extras = TABLE_CASES[ur_id][2]
+    return SPECS[ur_id].pure_only or extras.get("h_choice", "robertson") != "robertson"
+
+
 def test_evaluate_ur_matches_each_named_evaluator():
-    assert set(TABLE_CASES) == set(UR_SPECS) | set(CHAR_GAP_IDS)
+    assert set(TABLE_CASES) == set(SPECS) == set(UR_SPECS) | set(CHAR_GAP_IDS)
     rng = np.random.default_rng(40)
     for ur_id, (_, _, extras, direct) in TABLE_CASES.items():
-        spec = UR_SPECS.get(ur_id)
-        pure = spec.pure_only if spec else "h_choice" in extras  # centered Grams take pure states
-        observables, states = _table_instance(rng, ur_id, None if pure else 0)
+        observables, states = _table_instance(rng, ur_id, None if _pure(ur_id) else 0)
         via_table = evaluate_ur(ur_id, observables, states, **extras)
-        assert via_table.as_dict() == direct(observables, states).as_dict(), ur_id
+        assert via_table.as_dict() == direct(observables, states, extras).as_dict(), ur_id
 
 
 @pytest.mark.parametrize("ur_id", [u for u, spec in UR_SPECS.items() if spec.pure_only])
@@ -769,36 +776,70 @@ def _outcome(call):
         return f"InputError: {exc}"
 
 
-@pytest.mark.parametrize("ur_id", sorted(UR_SPECS))
+@pytest.mark.parametrize("ur_id", sorted(SPECS))
 def test_direct_and_table_calls_meet_one_gate(ur_id):
     # a wrong count of observables or states, a density matrix in the last
-    # slot and an unknown extra: the public function (where its signature can
-    # carry the input) and `_check`, which every public function calls, admit
-    # exactly what evaluate_ur admits, and say why not in the same words
-    spec = UR_SPECS[ur_id]
+    # slot, an unknown extra and a fractional order r: the public function
+    # (where its signature can carry the input) and, for a UR_SPECS check,
+    # `_check`, which every such public function calls, admit exactly what
+    # evaluate_ur admits, and say why not in the same words
+    spec = SPECS[ur_id]
     _, _, extras, public = TABLE_CASES[ur_id]
     rng = np.random.default_rng(43)
     observables, states = _table_instance(rng, ur_id, None)
-    wrong = lambda want: 1 if want < 0 else want + 1
+    wrong = lambda want: want + 1 if want > 0 else -want  # 0 = at least 1, -1 = at least 2
     cases = {
         "observables": (rand_observables(rng, wrong(spec.n_observables), 4), states, extras),
         "states": (observables, [rand_pure(rng, 4)] * wrong(spec.n_states), extras),
         "mixed": (observables, states[:-1] + [sample("density", 4, 44)], extras),
         "extra": (observables, states, dict(extras, bogus=1)),
     }
+    if "r" in spec.extras:
+        cases["order"] = (observables, states, dict(extras, r=1.5))
     for case, (o, s, e) in cases.items():
         via_table = _outcome(lambda: evaluate_ur(ur_id, o, s, **e))
-        assert _outcome(lambda: catalog._check(ur_id, o, s, **e)) == via_table, case
-        reachable = {"observables": spec.n_observables < 0, "states": spec.n_states < 0,
-                     "mixed": True, "extra": False}[case]
+        if ur_id in UR_SPECS:
+            assert _outcome(lambda: catalog._check(ur_id, o, s, **e)) == via_table, case
+        reachable = {"observables": spec.n_observables <= 0, "states": spec.n_states <= 0,
+                     "mixed": True, "extra": False, "order": True}[case]
         if reachable:
-            assert _outcome(lambda: public(o, s)) == via_table, case
-        rejected = case != "mixed" or spec.pure_only
+            assert _outcome(lambda: public(o, s, e)) == via_table, case
+        rejected = case != "mixed" or _pure(ur_id)
         assert isinstance(via_table, str) == rejected, (case, via_table)
     takes = ", ".join(spec.extras) or "none"
     assert _outcome(lambda: evaluate_ur(ur_id, observables, states, bogus=1)) == (
         f"InputError: {ur_id} takes no extra 'bogus' (its extras: {takes})"
     )
+
+
+@pytest.mark.parametrize("r", [1.5, "2", True, None, 0, 4])
+@pytest.mark.parametrize("ur_id", ["characteristic", *CHAR_GAP_IDS])
+def test_a_malformed_order_is_an_input_error(ur_id, r):
+    # only an integer r in 1..n is an order: a float, a string, a bool or None
+    # is refused at the gate like an order out of range, never later as an
+    # IndexError or TypeError, and True is not order 1
+    q, p, z = rand_observables(np.random.default_rng(45), 3, 4)
+    psi = fock_state(1, 4)
+    with pytest.raises(InputError, match=rf"^order r must be an integer in 1\.\.3, got {r!r}$"):
+        evaluate_ur(ur_id, (q, p, z), (psi,), r=r)
+    numpy_order = evaluate_ur(ur_id, (q, p, z), (psi,), r=np.int64(2))
+    order = evaluate_ur(ur_id, (q, p, z), (psi,), r=2)
+    assert (numpy_order.lhs, numpy_order.rhs) == (order.lhs, order.rhs)
+
+
+@pytest.mark.parametrize("ur_id", CHAR_GAP_IDS)
+def test_each_gap_call_is_admitted_once(ur_id, monkeypatch):
+    admitted = []
+    admit = catalog._admit
+    monkeypatch.setattr(catalog, "_admit", lambda *a: admitted.append(a[0].ur_id) or admit(*a))
+    q, p = fock_operators(12)
+    states = (fock_state(0, 12), coherent_state(0.3, 12))
+    evaluate_ur(ur_id, (q, p), states, r=2)
+    assert admitted == [ur_id]
+    char_gap_from_states(ur_id, (q, p), states, r=2)
+    assert admitted == [ur_id, ur_id]
+    with pytest.raises(InputError, match=rf"^{ur_id} takes at least 1 states$"):
+        evaluate_ur(ur_id, (q, p), ())
 
 
 def test_realness_audit_passes_on_admissible_inputs():
