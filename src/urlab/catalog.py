@@ -17,12 +17,13 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .errors import InputError, NumericError
+from .errors import InputError
 from .linalg import slack_scale, slack_tolerance
 from .model import DensityMatrix, Observable, PureState, QuantumState
 from .moments import (
     GramUR,
     MomentSet,
+    _audit_real,
     gram_centered,
     gram_raw,
     moment_set,
@@ -98,7 +99,8 @@ def _digest(ur_id: str, observables=(), states=(), extras=()):
 def _hash_inputs(ur_id: str, observables, states, extras) -> str:
     """First 16 hex digits of SHA-256 over the UTF-8 id, each observable's
     32-byte sub-digest, for each state slot the state's sub-digest or b"V" and
-    the bytes of its copied array, then the UTF-8 repr() of each extra."""
+    the bytes of its copied array, then the UTF-8 repr() of each extra, a
+    numpy scalar's as its Python value's, so r=np.int64(2) hashes as r=2."""
     h = hashlib.sha256(ur_id.encode())
     for obs in observables:
         h.update(obs.digest)
@@ -109,7 +111,7 @@ def _hash_inputs(ur_id: str, observables, states, extras) -> str:
             h.update(b"V")
             h.update(np.ascontiguousarray(st))
     for x in extras:
-        h.update(repr(x).encode())
+        h.update(repr(x.item() if isinstance(x, np.generic) else x).encode())
     return h.hexdigest()[:16]
 
 
@@ -134,9 +136,7 @@ def _real_audited(z, what: str):
     """The real part of a product of mean commutators, after auditing that its
     imaginary part is roundoff. A record stacked over tangent directions moves
     a record whose values passed this audit, and is not audited again."""
-    if z.ndim == 0 and abs(z.imag) > 1e-10 * max(1.0, abs(z)):
-        raise NumericError(f"imaginary residue {z.imag:.3e} in {what}")
-    return z.real
+    return _audit_real(z, what) if z.ndim == 0 else z.real
 
 
 # ---------------------------------------------------------------------------

@@ -147,8 +147,11 @@ def _parse_slot(slot, what: str) -> int:
 
 
 def _parse_ur_id(value, what: str) -> str:
+    """A check id of SPECS; every command parses its check ids here."""
     if not isinstance(value, str):
         raise ConfigError(f"{what} must be a check id string, got {value!r}")
+    if value not in SPECS:
+        raise ConfigError(f"unknown UR id {value!r}")
     return value
 
 
@@ -224,12 +227,6 @@ def build_state(spec: dict, dim: int):
     raise ConfigError(f"unknown state builder {builder!r}")
 
 
-def _extras_of(ur_id: str) -> tuple[str, ...]:
-    """The extras a check takes; none for an id the library will reject."""
-    spec = SPECS.get(ur_id)
-    return spec.extras if spec else ()
-
-
 def _ur_entries(config, pins: tuple[str, ...] = ()) -> list[tuple[str, dict]]:
     """The `urs` list as (id, extras) pairs. An entry's keys besides `id` are
     the check's own extras, or for a scan (``pins`` given) its scan pins."""
@@ -241,14 +238,12 @@ def _ur_entries(config, pins: tuple[str, ...] = ()) -> list[tuple[str, dict]]:
     out = []
     for entry in urs:
         if isinstance(entry, str):
-            ur_id, extras = entry, {}
+            ur_id, extras = _parse_ur_id(entry, "a UR entry"), {}
         elif isinstance(entry, dict) and "id" in entry:
             ur_id = _parse_ur_id(entry["id"], "a UR entry's 'id'")
             extras = {k: v for k, v in entry.items() if k != "id"}
         else:
             raise ConfigError(f"bad UR entry {entry!r}")
-        if ur_id not in SPECS:
-            raise ConfigError(f"unknown UR id {ur_id!r}")
         out.append((ur_id, _parse_extras(extras, f"{ur_id!r} entry", pins or SPECS[ur_id].extras)))
     return out
 
@@ -368,9 +363,7 @@ def run_scan(config: dict, seed: int, dim: int) -> tuple[dict, int]:
 
 
 def run_minimize(config: dict, seed: int, dim: int) -> tuple[dict, int]:
-    ur_id = config.get("ur")
-    if not isinstance(ur_id, str):
-        raise ConfigError("minimize needs a 'ur' id")
+    ur_id = _parse_ur_id(config.get("ur"), "minimize's 'ur'")
     observables = [build_observable(s, dim) for s in _parse_list(config, "observables")]
     if not observables:
         raise ConfigError("minimize needs 'observables'")
@@ -395,7 +388,7 @@ def run_minimize(config: dict, seed: int, dim: int) -> tuple[dict, int]:
         budget=_parse_int(config.get("budget", 400), "budget", least=1),
         restarts=_parse_int(config.get("restarts", 8), "restarts", least=1),
         seed=seed,
-        extras=_parse_extras(config.get("extras") or {}, "extras", _extras_of(ur_id)),
+        extras=_parse_extras(config.get("extras") or {}, "extras", SPECS[ur_id].extras),
     )
     row = dataclasses.asdict(result)
     row["slots"] = [dict(s, alpha=[s["alpha"].real, s["alpha"].imag]) for s in row["slots"]]
@@ -432,8 +425,8 @@ def run_compare(config: dict, seed: int, dim: int) -> tuple[dict, int]:
         ur_a,
         ur_b,
         _compare_instances(config, seed, dim),
-        extras_a=_parse_extras(config.get("extras_a") or {}, "extras_a", _extras_of(ur_a)),
-        extras_b=_parse_extras(config.get("extras_b") or {}, "extras_b", _extras_of(ur_b)),
+        extras_a=_parse_extras(config.get("extras_a") or {}, "extras_a", SPECS[ur_a].extras),
+        extras_b=_parse_extras(config.get("extras_b") or {}, "extras_b", SPECS[ur_b].extras),
     )
     rtol = _slack_rtol(config)
     violated = stats.min_relative_slack_a < -rtol or stats.min_relative_slack_b < -rtol

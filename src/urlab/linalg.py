@@ -52,15 +52,11 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max(initial=0.0))
 
 
-def is_hermitian(m: np.ndarray, rtol: float = HERM_RTOL) -> bool:
-    scale = float(np.abs(m).max(initial=0.0))
-    return hermiticity_defect(m) <= rtol * max(scale, 1e-300)
-
-
 def require_hermitian(m, name: str = "matrix") -> np.ndarray:
     a = as_square_matrix(m, name)
-    if not is_hermitian(a):
-        raise InputError(f"{name} is not Hermitian (defect {hermiticity_defect(a):.3e})")
+    defect = hermiticity_defect(a)
+    if defect > HERM_RTOL * max(float(np.abs(a).max(initial=0.0)), 1e-300):
+        raise InputError(f"{name} is not Hermitian (defect {defect:.3e})")
     return a
 
 

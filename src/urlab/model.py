@@ -163,12 +163,6 @@ class DensityMatrix:
 QuantumState = PureState | DensityMatrix
 
 
-def state_dim(state: QuantumState) -> int:
-    if isinstance(state, (PureState, DensityMatrix)):
-        return state.dim
-    raise InputError(f"not a quantum state: {type(state).__name__}")
-
-
 def _annihilation(n: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, n)), 1).astype(complex)
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .linalg import gram, psd_certified
-from .model import DensityMatrix, Observable, PureState, QuantumState, state_dim
+from .model import DensityMatrix, Observable, PureState, QuantumState
 
 # Imaginary residues of nominally real moments are audited against this,
 # relative to max(1, |value|).
@@ -47,10 +47,6 @@ class MomentSet:
     m2: np.ndarray
     rows: np.ndarray | None
 
-    @property
-    def n(self) -> int:
-        return self.means.size
-
     def comm(self, i: int, j: int) -> complex:
         """<[X_i, X_j]>, imaginary up to roundoff: z - z* with z = <X_i psi|X_j psi>
         for a pure state, M_ij - M_ji for a density matrix."""
@@ -83,20 +79,17 @@ def _audit_real(values: np.ndarray, what: str) -> np.ndarray:
     return values.real
 
 
-def _checked_observables(observables, state: QuantumState) -> tuple:
-    """The observables as a tuple, after checking each is an Observable of
-    the state's dimension."""
+def _checked_observables(observables, dim: int) -> tuple:
+    """The observables as a tuple, after checking there is at least one and
+    each is an Observable of dimension ``dim``."""
     observables = tuple(observables)
     if len(observables) == 0:
         raise InputError("at least one observable required")
-    dim = state_dim(state)
     for i, obs in enumerate(observables):
         if not isinstance(obs, Observable):
             raise InputError(f"argument {i} is not an Observable")
         if obs.dim != dim:
-            raise InputError(
-                f"observable {obs.name!r} has dimension {obs.dim}, state has {dim}"
-            )
+            raise InputError(f"observable {obs.name!r} has dimension {obs.dim}, state has {dim}")
     return observables
 
 
@@ -152,7 +145,9 @@ def moment_set(observables, state: QuantumState) -> MomentSet:
     the MomentSet the miss built and audited, so every array of it is
     read-only; a failed audit memoises nothing.
     """
-    observables = _checked_observables(observables, state)
+    if not isinstance(state, (PureState, DensityMatrix)):
+        raise InputError(f"not a quantum state: {type(state).__name__}")
+    observables = _checked_observables(observables, state.dim)
     memo = state.__dict__.setdefault(_MEMO_ATTR, {})
     hit = memo.get(observables)
     if hit is not None:
@@ -192,18 +187,26 @@ def _state_label(state: QuantumState) -> str:
     return "pure" if isinstance(state, PureState) else "density"
 
 
-def _pure_amplitudes(states) -> list[np.ndarray]:
+def _amplitudes(states) -> list[np.ndarray]:
+    """The amplitude vector of each state, at least one and all of one length:
+    a PureState's own amplitudes, or the numeric entries of a raw (possibly
+    unnormalized) vector as complex. A density matrix is refused."""
     out = []
     for i, s in enumerate(states):
         if isinstance(s, PureState):
-            out.append(s.amplitudes)
+            a = s.amplitudes
         elif isinstance(s, DensityMatrix):
-            raise InputError(
-                f"state {i} is a density matrix; this Gram construction "
-                "requires pure states"
-            )
+            raise InputError(f"state {i} is a density matrix; pure states are required")
         else:
-            out.append(np.asarray(s, dtype=complex).ravel())
+            a = np.asarray(s)
+            if a.dtype.kind not in "iufc" or not np.isfinite(a).all():
+                raise InputError(f"state {i} is not a vector of finite numbers")
+            a = a.astype(complex).ravel()
+        if out and a.size != out[0].size:
+            raise InputError(f"state {i} has dimension {a.size}, expected {out[0].size}")
+        out.append(a)
+    if not out:
+        raise InputError("at least one state required")
     return out
 
 
@@ -218,6 +221,29 @@ def _memo_hit(observables, states):
     return memo.get(tuple(observables))
 
 
+def _gram(kind: str, observables, states) -> GramUR:
+    """Gram matrix of the vectors X_k|psi_k>, centred by <psi_k|X_k|psi_k> for
+    kind "centered" (which takes PureStates only), over at least one slot with
+    one state per observable, all of one dimension. With one PureState in
+    every slot the rows and means are read from its moment memo when it holds
+    them."""
+    observables, states = tuple(observables), tuple(states)
+    if kind == "centered":
+        for i, s in enumerate(states):
+            if not isinstance(s, PureState):
+                raise InputError(f"state {i} is not a pure state, which a centered Gram needs")
+    amps = _amplitudes(states)
+    if len(observables) != len(amps):
+        raise InputError("need exactly one state per observable")
+    observables = _checked_observables(observables, amps[0].size)
+    hit = _memo_hit(observables, states)
+    rows = hit.rows if hit is not None else [o.matrix @ a for o, a in zip(observables, amps)]
+    if kind == "centered":
+        means = hit.means if hit is not None else [np.vdot(a, v).real for a, v in zip(amps, rows)]
+        rows = [v - z * a for v, z, a in zip(rows, means, amps)]
+    return GramUR(kind, gram(rows), tuple([o.name for o in observables]))
+
+
 def gram_centered(observables, states) -> GramUR:
     """Gram matrix of the centered vectors (X_k - <psi_k|X_k|psi_k>)|psi_k>.
 
@@ -226,26 +252,7 @@ def gram_centered(observables, states) -> GramUR:
     and the rows X_k|psi> and means are read from the moment memo when it
     holds them.
     """
-    if len(observables) != len(states):
-        raise InputError("need exactly one state per observable")
-    for i, s in enumerate(states):
-        if not isinstance(s, PureState):
-            raise InputError(
-                f"state {i} is not a pure state; the centered Gram construction "
-                "requires normalized pure states"
-            )
-    dim = states[0].dim
-    for obs, st in zip(observables, states):
-        if obs.dim != dim or st.dim != dim:
-            raise InputError("observables and states must share one dimension")
-    hit = _memo_hit(observables, states)
-    if hit is not None:
-        rows, means = hit.rows, hit.means
-    else:
-        rows = [obs.matrix @ st.amplitudes for obs, st in zip(observables, states)]
-        means = [np.vdot(st.amplitudes, v) for st, v in zip(states, rows)]
-    vecs = [v - z.real * st.amplitudes for v, z, st in zip(rows, means, states)]
-    return GramUR("centered", gram(vecs), tuple([o.name for o in observables]))
+    return _gram("centered", observables, states)
 
 
 def gram_raw(observables, states) -> GramUR:
@@ -257,19 +264,7 @@ def gram_raw(observables, states) -> GramUR:
     ΔX_k² + <X_k>². With one PureState in every slot the vectors are read
     from the moment memo when it holds them.
     """
-    if len(observables) != len(states):
-        raise InputError("need exactly one state per observable")
-    amps = _pure_amplitudes(states)
-    dim = amps[0].size
-    for obs, amp in zip(observables, amps):
-        if obs.dim != dim or amp.size != dim:
-            raise InputError("observables and states must share one dimension")
-    hit = _memo_hit(observables, states)
-    if hit is not None:
-        vecs = hit.rows
-    else:
-        vecs = [obs.matrix @ amp for obs, amp in zip(observables, amps)]
-    return GramUR("raw", gram(vecs), tuple([o.name for o in observables]))
+    return _gram("raw", observables, states)
 
 
 def transform_observables(lam, observables) -> list[Observable]:
@@ -298,17 +293,12 @@ def transform_states(u, states) -> list[np.ndarray]:
     gram_raw(X, psi') = U gram_raw(X, psi) U† holds for the raw images.
     A (numerically) singular u is flagged with a warning.
     """
+    amps = _amplitudes(states)
     u = np.asarray(u, dtype=complex)
-    m = len(states)
+    m = len(amps)
     if u.shape != (m, m):
         raise InputError(f"transformation must be {m}x{m}, got {u.shape}")
     sv = np.linalg.svd(u, compute_uv=False)
     if sv[-1] <= 1e-12 * max(sv[0], 1.0):
         warnings.warn("state transformation is numerically singular", stacklevel=2)
-    amps = _pure_amplitudes(states)
-    dim = amps[0].size
-    for i, a in enumerate(amps):
-        if a.size != dim:
-            raise InputError(f"state {i} has dimension {a.size}, expected {dim}")
-    stack = np.array(amps)
-    return list(u.conj() @ stack)
+    return list(u.conj() @ np.array(amps))

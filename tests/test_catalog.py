@@ -827,6 +827,20 @@ def test_a_malformed_order_is_an_input_error(ur_id, r):
     assert (numpy_order.lhs, numpy_order.rhs) == (order.lhs, order.rhs)
 
 
+@pytest.mark.parametrize("ur_id", ["characteristic", *CHAR_GAP_IDS])
+def test_a_numpy_order_has_the_digest_of_its_python_value(ur_id):
+    # one check on one input has one digest, whichever integer type r has
+    q, p, z = rand_observables(np.random.default_rng(45), 3, 4)
+    psi = fock_state(1, 4)
+    for r in (1, 2, 3):
+        numpy_order = evaluate_ur(ur_id, (q, p, z), (psi,), r=np.int64(r))
+        assert numpy_order.inputs_digest == evaluate_ur(ur_id, (q, p, z), (psi,), r=r).inputs_digest
+    if ur_id in CHAR_GAP_IDS:  # a direct call hashes its order the same way
+        mats, flavor = [robertson_matrix((q, p, z), psi)], ur_id.removeprefix("char_gap_")
+        direct = char_gap_check(mats, np.int64(2), flavor).inputs_digest
+        assert direct == char_gap_check(mats, 2, flavor).inputs_digest
+
+
 @pytest.mark.parametrize("ur_id", CHAR_GAP_IDS)
 def test_each_gap_call_is_admitted_once(ur_id, monkeypatch):
     admitted = []

@@ -673,6 +673,33 @@ def test_unknown_extra_or_pin_exit2(tmp_path, capsys, key):
     assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
+# command -> (valid config, path to a check id in it)
+CHECK_ID_PATHS = {
+    "check": (CHECK_VACUUM, ("urs", 0)),
+    "scan": (SCAN_TINY, ("urs", 0)),
+    "minimize": (MINIMIZE_TINY, ("ur",)),
+    "compare": (COMPARE_RANDOM, ("ur_b",)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CHECK_ID_PATHS))
+def test_unknown_check_id_exit2(tmp_path, capsys, command):
+    config, path = CHECK_ID_PATHS[command]
+    assert run(tmp_path, command, config)[0] == 0
+    # a `urs` entry names its check as a string or as an object's "id"
+    for spelling in ["heisenbrg"] + ([{"id": "heisenbrg"}] if path[0] == "urs" else []):
+        assert run(tmp_path, command, with_path(config, path, spelling))[0] == 2, spelling
+        assert "unknown UR id 'heisenbrg'" in capsys.readouterr().err
+
+
+def test_a_gap_id_where_no_gap_is_taken_exit3(tmp_path):
+    # a gap id is a real id: minimize and compare's random instances refuse it
+    # as an input, not as a config error
+    assert run(tmp_path, "minimize", dict(MINIMIZE_TINY, ur="char_gap_entangled"))[0] == 3
+    instances = dict(COMPARE_RANDOM["instances"], ur="char_gap_entangled")
+    assert run(tmp_path, "compare", dict(COMPARE_RANDOM, instances=instances))[0] == 3
+
+
 @pytest.mark.parametrize("field", sorted(EXTRA_FIELDS))
 def test_malformed_extra_or_pin_exit2(tmp_path, field):
     command, config, path = EXTRA_FIELDS[field]

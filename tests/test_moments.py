@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from urlab import moments
+from urlab.catalog import evaluate_ur
 from urlab.errors import InputError, NumericError
 from urlab.linalg import gram
 from urlab.model import (
@@ -307,6 +308,65 @@ def test_transform_states_singular_warns():
     states = [rand_pure(rng, 4) for _ in range(2)]
     with pytest.warns(UserWarning, match="singular"):
         transform_states(np.zeros((2, 2)), states)
+
+
+# ---------------------------------------------------------------------------
+# malformed input: every entry point of the layer refuses it with InputError,
+# never with an IndexError, AttributeError or ValueError from inside a loop
+
+_Q16, _P16 = fock_operators(16)
+_PSI16, _PSI8 = coherent_state(0.3, 16), fock_state(1, 8)
+_RHO16 = sample("density", 16, 3)
+
+# case -> (observables, states); the one-state callers take the first state,
+# or for an empty list the state the empty observable list meets
+MALFORMED_SLOTS = {
+    "empty": ((), ()),
+    "ndarray_observable": ((_Q16.matrix, _P16.matrix), (_PSI16, _PSI16)),
+    "string_state": ((_Q16, _P16), ("abc", "abc")),
+    "nonfinite_state": ((_Q16, _P16), (np.full(16, np.nan), np.full(16, np.inf))),
+    "density_state": ((_Q16, _P16), (_RHO16, _RHO16)),
+    "mismatched_dims": ((_Q16, _P16), (_PSI8, _PSI16)),
+}
+
+
+def _one_state(f):
+    return lambda o, s: f(o, s[0] if s else _PSI16)
+
+
+MALFORMED_CALLERS = {
+    "gram_centered": gram_centered,
+    "gram_raw": gram_raw,
+    "transform_states": lambda o, s: transform_states(np.eye(len(s)), s),
+    "moment_set": _one_state(moment_set),
+    "robertson_matrix": _one_state(robertson_matrix),
+    **{
+        f"{gap}_{h}": lambda o, s, gap=gap, h=h: evaluate_ur(gap, o, s, h_choice=h)
+        for gap in ("char_gap_entangled", "char_gap_superadditive")
+        for h in ("centered", "raw")
+    },
+}
+
+# a density matrix is a state of moment_set and robertson_matrix, and
+# transform_states takes no observables
+_WELL_FORMED_FOR = {
+    ("moment_set", "density_state"), ("robertson_matrix", "density_state"),
+    ("transform_states", "ndarray_observable"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SLOTS))
+@pytest.mark.parametrize("caller", sorted(MALFORMED_CALLERS))
+def test_malformed_slots_are_input_errors(caller, case):
+    observables, states = MALFORMED_SLOTS[case]
+    call = MALFORMED_CALLERS[caller]
+    if (caller, case) in _WELL_FORMED_FOR:
+        call(observables, states)
+        return
+    # an ndarray is refused with one message wherever an Observable is needed
+    match = "^argument 0 is not an Observable$" if case == "ndarray_observable" else None
+    with pytest.raises(InputError, match=match):
+        call(observables, states)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """In-process A/B of the validity scan: urlab at a git ref against the working tree.
 
     python3 tools/ab_scan.py --ref HEAD~1 --seeds 11 12 13 --rounds 20 --size 100
+    python3 tools/ab_scan.py --ids char_gap_entangled char_gap_superadditive
 
 Run from anywhere inside a urlab checkout. The script exports ``src/urlab``
 at ``--ref`` into a temporary directory under the package name ``urlab_ref``
 (the package imports itself only relatively), imports it next to the working
-tree's ``urlab``, and runs rounds of ``scan_report`` over the default checks
-at dims 2-12. In each round every check draws ``--size`` instances from the
+tree's ``urlab``, and runs rounds of ``scan_report`` at dims 2-12 over the
+checks ``--ids`` names, by default the scan's default checks. A change that
+touches only some checks times only those, so their cost is not diluted by
+the others'. In each round every check draws ``--size`` instances from the
 same generator state under both versions, the version that goes first
 alternating per round, so a slow spell of a shared machine falls on both.
 It asserts that both versions' reports serialise to the same JSON bytes and
@@ -62,11 +65,10 @@ def timed_reports(ensembles, ur_id: str, seed: int, label: str, size: int):
     return elapsed, [json.dumps(r.as_dict()) for r in reports]
 
 
-def ab_seed(versions: dict, seed: int, rounds: int, size: int) -> dict:
+def ab_seed(versions: dict, ur_ids, seed: int, rounds: int, size: int) -> dict:
     """Total seconds per version over all rounds of one seed, and the
     instance count; raises AssertionError on the first differing report."""
     seconds = dict.fromkeys(versions, 0.0)
-    ur_ids = versions["ref"].DEFAULT_SCAN_URS
     for k in range(rounds):
         order = list(versions) if k % 2 == 0 else list(reversed(versions))
         for ur_id in ur_ids:
@@ -85,6 +87,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     ap.add_argument("--rounds", type=int, default=10, help="alternating rounds per seed")
     ap.add_argument("--size", type=int, default=100, help="instances per check per round")
+    ap.add_argument("--ids", nargs="+", help="check ids to time (default: DEFAULT_SCAN_URS)")
     args = ap.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -92,10 +95,11 @@ def main(argv=None) -> int:
         sys.path.insert(0, str(ROOT / "src"))
         tree = importlib.import_module("urlab.ensembles")
         versions = {"ref": ref, "tree": tree}
+        ur_ids = args.ids or ref.DEFAULT_SCAN_URS
         ratios = []
         print(f"{'seed':>6} {'ref us/inst':>12} {'tree us/inst':>13} {'ratio':>7}")
         for seed in args.seeds:
-            res = ab_seed(versions, seed, args.rounds, args.size)
+            res = ab_seed(versions, ur_ids, seed, args.rounds, args.size)
             per = {k: 1e6 * s / res["instances"] for k, s in res["seconds"].items()}
             ratios.append(per["tree"] / per["ref"])
             print(f"{seed:>6} {per['ref']:>12.1f} {per['tree']:>13.1f} {ratios[-1]:>7.3f}")
