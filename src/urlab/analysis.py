@@ -10,14 +10,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import UR_SPECS, _pairwise_extended_sides, _schrodinger_sides, evaluate_ur, type_1_2
-from .catalog import _cross_vector, slack_derivatives
+from .catalog import _admit, _cross_vector, slack_derivatives
 from .errors import InputError, TruncationError
-from .linalg import slack_scale, slack_tolerance
+from .linalg import as_numbers, slack_scale, slack_tolerance
 from .model import Observable, PureState, fock_operators, squeezed_state
 from .model import _displacement_edge, _squeeze_edge, _squeezed_tangents
 from .moments import moment_set
 
 _TINY = 1e-300
+TIE_TOL = 1e-12  # rounding: a tie in compare_precision, no violation in triangle_scan
 
 
 @dataclass(frozen=True)
@@ -43,9 +44,7 @@ def saturation_1_2a(x: Observable, psi1: PureState, psi2: PureState) -> Saturati
     variant "a" check because the product of the two singular values squared
     is exactly that check's slack.
     """
-    for i, s in enumerate((psi1, psi2)):
-        if not isinstance(s, PureState):
-            raise InputError(f"state {i} must be pure")
+    _admit(UR_SPECS["type_1_2a"], (x,), (psi1, psi2), {})
     chis = [_cross_vector(moment_set((x,), s), s, "a") for s in (psi1, psi2)]
     norms = [float(np.linalg.norm(c)) for c in chis]
     op_scale = max(1.0, float(np.max(np.abs(x.matrix))))
@@ -203,12 +202,10 @@ def minimize_slack(
     n_par = 4 * len(free_slots)
     starts = [np.zeros(n_par)]
     if init is not None:
-        try:
-            starts.insert(0, np.asarray(init, dtype=float))
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"init must be real numbers: {exc}") from exc
-        if starts[0].shape != (n_par,) or not np.isfinite(starts[0]).all():
+        x0 = as_numbers(init, "init")
+        if x0.shape != (n_par,) or x0.imag.any():
             raise InputError(f"init must hold 4 finite reals per free slot, {n_par} in all")
+        starts.insert(0, x0.real)
     r_max = min(1.0, _squeeze_edge(dim, 0.0))
     reach = math.hypot(0.6, 0.6)  # a seeded start's largest |alpha| / a_max; |r| <= 0.7 r_max
     a_max = min(ALPHA_BOX, _displacement_edge(dim, 0.7 * r_max, reach * ALPHA_BOX) / reach)
@@ -327,7 +324,6 @@ def compare_precision(
     instances,
     extras_a: dict | None = None,
     extras_b: dict | None = None,
-    tie_tol: float = 1e-12,
 ) -> PrecisionStats:
     """Evaluate two checks on each (label, observables, states) instance and
     record which is closer to saturation, raw and relative."""
@@ -352,11 +348,11 @@ def compare_precision(
         min_b = min(min_b, sb)
         min_rel_a = min(min_rel_a, sa / slack_scale(ra.lhs, ra.rhs))
         min_rel_b = min(min_rel_b, sb / slack_scale(rb.lhs, rb.rhs))
-        if abs(sa - sb) <= tie_tol * max(1.0, abs(sa), abs(sb)):
+        if abs(sa - sb) <= TIE_TOL * max(1.0, abs(sa), abs(sb)):
             n_raw_a += 0.5
         elif sa < sb:
             n_raw_a += 1.0
-        if abs(za - zb) <= tie_tol:
+        if abs(za - zb) <= TIE_TOL:
             n_rel_a += 0.5
             ties += 1
         elif za < zb:
@@ -402,7 +398,7 @@ class NonInverseExample:
 class SaturationTransferAudit:
     """Forward direction: whenever the extended check is saturated within
     epsilon, both single-state Schrödinger checks are saturated within
-    eps_prime. The non-inverse example shows the converse failing."""
+    eps_prime = 10 epsilon. The non-inverse example shows the converse failing."""
 
     size: int
     epsilon: float
@@ -417,7 +413,6 @@ def saturation_transfer_audit(
     y: Observable,
     pairs,
     epsilon: float = 1e-8,
-    eps_factor: float = 10.0,
 ) -> SaturationTransferAudit:
     """Audit saturation transfer from the extended Schrödinger check to the
     per-state Schrödinger checks over (psi1, psi2) pairs.
@@ -425,7 +420,7 @@ def saturation_transfer_audit(
     Moment sets are cached per state object, so pair ensembles drawn from a
     pool of states evaluate in time linear in the pool size.
     """
-    eps_prime = eps_factor * epsilon
+    eps_prime = 10.0 * epsilon
     cache: dict[int, tuple] = {}
 
     def stats(state):
@@ -513,7 +508,7 @@ def divergence(x: Observable, psi1: PureState, psi2: PureState, variant: str = "
     return math.sqrt(max(0.0, report.slack))
 
 
-def triangle_scan(x: Observable, states, variant: str = "a", margin: float = 1e-12) -> float:
+def triangle_scan(x: Observable, states, variant: str = "a") -> float:
     """Exploratory triangle-inequality violation rate of the divergence over
     all ordered triples of the given states. Reported, never asserted."""
     n = len(states)
@@ -529,6 +524,6 @@ def triangle_scan(x: Observable, states, variant: str = "a", margin: float = 1e-
                 if len({i, j, k}) < 3:
                     continue
                 triples += 1
-                if d[i, k] > d[i, j] + d[j, k] + margin:
+                if d[i, k] > d[i, j] + d[j, k] + TIE_TOL:
                     violations += 1
     return violations / triples if triples else 0.0

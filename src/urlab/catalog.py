@@ -446,8 +446,6 @@ def char_gap_check(matrices, r: int, flavor: str) -> URReport:
     """
     if flavor not in ("entangled", "superadditive"):
         raise InputError(f"flavor must be 'entangled' or 'superadditive', got {flavor!r}")
-    if len(matrices) == 0:
-        raise InputError("char_gap_check requires at least one matrix")
     for i, g in enumerate(matrices):
         if not isinstance(g, GramUR):
             raise InputError(f"entry {i} is not a GramUR")
@@ -505,9 +503,7 @@ def _admit(spec: URSpec, observables, states, extras) -> None:
         if key not in spec.extras:
             takes = ", ".join(spec.extras) or "none"
             raise InputError(f"{spec.ur_id} takes no extra {key!r} (its extras: {takes})")
-    r, n = extras.get("r", 1), len(observables)
-    if not (type(r) is int or isinstance(r, np.integer)) or not 1 <= r <= n:  # no bool
-        raise InputError(f"order r must be an integer in 1..{n}, got {r!r}")
+    linalg.as_integer(extras.get("r", 1), "order r", 1, len(observables))
     h_choice = extras.get("h_choice", "robertson")
     if h_choice not in H_CHOICES:
         raise InputError(f"h_choice must be one of {H_CHOICES}, got {h_choice!r}")

@@ -37,13 +37,35 @@ def slack_tolerance(lhs: float, rhs: float) -> float:
     return SLACK_RTOL * slack_scale(lhs, rhs)
 
 
+def as_numbers(a, name: str) -> np.ndarray:
+    """The package's one reader of numeric arrays: ``a`` as a C-contiguous complex
+    ndarray (no copy if it is one) of finite integer, unsigned, float or complex
+    entries. Bool, string, object or ragged input, NaN and infinity are refused."""
+    try:
+        a = np.asarray(a)
+    except ValueError:  # ragged nesting
+        raise InputError(f"{name} must be an array of numbers") from None
+    if a.dtype.kind not in "iufc":
+        raise InputError(f"{name} must be an array of numbers")
+    a = np.asarray(a, dtype=complex, order="C")
+    if not np.isfinite(a.ravel().view(float)).all():  # the float view: cheaper than on complex
+        raise InputError(f"{name} contains non-finite entries")
+    return a
+
+
+def as_integer(value, name: str, lo: int, hi: int) -> int:
+    """The package's one reader of integer arguments: a Python or numpy
+    integer in lo..hi, as int; a bool is not an integer here."""
+    if (type(value) is int or isinstance(value, np.integer)) and lo <= value <= hi:
+        return int(value)
+    raise InputError(f"{name} must be an integer in {lo}..{hi}, got {value!r}")
+
+
 def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite square complex ndarray."""
-    a = np.asarray(m, dtype=complex)
+    """`as_numbers`, for a square matrix."""
+    a = as_numbers(m, name)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError(f"{name} must be square, got shape {a.shape}")
-    if not np.isfinite(a.view(float)).all():
-        raise InputError(f"{name} contains non-finite entries")
     return a
 
 
@@ -66,14 +88,10 @@ def gram(vectors) -> np.ndarray:
     The vectors may be unnormalized. The result is Hermitian positive
     semidefinite by construction (re-symmetrized to kill roundoff asymmetry).
     """
-    if len(vectors) == 0:
+    stack = as_numbers(vectors, "gram input")
+    if stack.ndim == 0 or len(stack) == 0:
         raise InputError("gram requires at least one vector")
-    arrs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
-    dim = arrs[0].size
-    for i, v in enumerate(arrs):
-        if v.size != dim:
-            raise InputError(f"vector {i} has length {v.size}, expected {dim}")
-    stack = np.array(arrs)
+    stack = stack.reshape(len(stack), -1)
     g = stack.conj() @ stack.T
     return (g + g.conj().T) / 2
 
@@ -171,11 +189,12 @@ def _certified_sum(h_list, r: int) -> tuple[list, np.ndarray]:
     """Eigensystems of a list of psd Hermitian matrices, negatives clamped, and
     the sum of the clamped matrices.
 
-    Raises InputError naming the first member that fails the psd certificate,
-    and for an order r outside 1..n.
+    Raises InputError for an empty list, naming the first member that fails
+    the psd certificate, and for an order r that is not an integer in 1..n.
     """
+    if len(h_list) == 0:
+        raise InputError("a characteristic gap takes at least one matrix")
     systems = []
-    dim = 0  # no members admit no order
     for i, h in enumerate(h_list):
         a = require_hermitian(h, f"matrix {i}")
         if i == 0:
@@ -188,8 +207,7 @@ def _certified_sum(h_list, r: int) -> tuple[list, np.ndarray]:
                 f"matrix {i} is not positive semidefinite (min eigenvalue {w[0]:.3e})"
             )
         systems.append((np.maximum(w, 0.0), v))
-    if not 1 <= r <= dim:
-        raise InputError(f"order r={r} outside 1..{dim}")
+    as_integer(r, "order r", 1, dim)
     return systems, sum((v * w) @ v.conj().T for w, v in systems)
 
 

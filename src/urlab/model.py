@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import InputError, TruncationError
-from .linalg import as_square_matrix, psd_certified, require_hermitian
+from .linalg import as_integer, as_numbers, as_square_matrix, psd_certified, require_hermitian
 
 MIN_DIM = 2
 MAX_DIM = 512
@@ -43,10 +43,7 @@ BUILDER_CACHE_SIZE = 4
 
 
 def _check_dim(n: int) -> int:
-    n = int(n)
-    if not MIN_DIM <= n <= MAX_DIM:
-        raise InputError(f"Hilbert dimension must lie in [{MIN_DIM}, {MAX_DIM}], got {n}")
-    return n
+    return as_integer(n, "Hilbert dimension", MIN_DIM, MAX_DIM)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -111,9 +108,7 @@ class PureState:
         if _trusted:
             self.amplitudes.setflags(write=False)
             return
-        a = np.asarray(self.amplitudes, dtype=complex).ravel()
-        if not np.isfinite(a.view(float)).all():
-            raise InputError("state amplitudes contain non-finite entries")
+        a = as_numbers(self.amplitudes, "pure state").ravel()
         nrm = float(np.linalg.norm(a))
         if abs(nrm - 1.0) > NORM_TOL:
             raise InputError(f"pure state is not normalized (norm {nrm!r})")
@@ -211,10 +206,8 @@ def quad_mix(n: int) -> Observable:
 
 def fock_state(k: int, n: int) -> PureState:
     n = _check_dim(n)
-    if not 0 <= k < n:
-        raise InputError(f"Fock level {k} outside 0..{n - 1}")
     amp = np.zeros(n, dtype=complex)
-    amp[k] = 1.0
+    amp[as_integer(k, "Fock level", 0, n - 1)] = 1.0
     return PureState(amp)
 
 
@@ -562,10 +555,10 @@ def sample(kind: str, dim: int, seed: int):
 
 def raw_vector_state(amplitudes) -> PureState:
     """Normalize an explicit complex vector into a PureState."""
-    a = np.asarray(amplitudes, dtype=complex).ravel()
+    a = as_numbers(amplitudes, "raw vector").ravel()
     nrm = float(np.linalg.norm(a))
-    if not np.all(np.isfinite(a.view(float))) or nrm == 0.0:
-        raise InputError("raw vector must be finite and nonzero")
+    if nrm == 0.0:
+        raise InputError("raw vector must be nonzero")
     return PureState(a / nrm)
 
 

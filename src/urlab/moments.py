@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .linalg import gram, psd_certified
+from .linalg import as_numbers, gram, psd_certified
 from .model import DensityMatrix, Observable, PureState, QuantumState
 
 # Imaginary residues of nominally real moments are audited against this,
@@ -189,8 +189,8 @@ def _state_label(state: QuantumState) -> str:
 
 def _amplitudes(states) -> list[np.ndarray]:
     """The amplitude vector of each state, at least one and all of one length:
-    a PureState's own amplitudes, or the numeric entries of a raw (possibly
-    unnormalized) vector as complex. A density matrix is refused."""
+    a PureState's own amplitudes, or a raw (possibly unnormalized) vector read
+    by `as_numbers`. A density matrix is refused."""
     out = []
     for i, s in enumerate(states):
         if isinstance(s, PureState):
@@ -198,10 +198,7 @@ def _amplitudes(states) -> list[np.ndarray]:
         elif isinstance(s, DensityMatrix):
             raise InputError(f"state {i} is a density matrix; pure states are required")
         else:
-            a = np.asarray(s)
-            if a.dtype.kind not in "iufc" or not np.isfinite(a).all():
-                raise InputError(f"state {i} is not a vector of finite numbers")
-            a = a.astype(complex).ravel()
+            a = as_numbers(s, f"state {i}").ravel()
         if out and a.size != out[0].size:
             raise InputError(f"state {i} has dimension {a.size}, expected {out[0].size}")
         out.append(a)
@@ -274,10 +271,11 @@ def transform_observables(lam, observables) -> list[Observable]:
     C' = lam C lam^T. A singular lam is allowed here; checks that require
     nonsingularity flag it at the point of use.
     """
-    lam = np.asarray(lam, dtype=float)
+    lam = as_numbers(lam, "transformation")
     n = len(observables)
-    if lam.shape != (n, n):
-        raise InputError(f"transformation must be {n}x{n} real, got {lam.shape}")
+    if lam.shape != (n, n) or lam.imag.any():
+        raise InputError(f"transformation must be {n}x{n} real, got shape {lam.shape}")
+    lam = lam.real
     names = ",".join(o.name for o in observables)
     out = []
     for i in range(n):
@@ -294,7 +292,7 @@ def transform_states(u, states) -> list[np.ndarray]:
     A (numerically) singular u is flagged with a warning.
     """
     amps = _amplitudes(states)
-    u = np.asarray(u, dtype=complex)
+    u = as_numbers(u, "transformation")
     m = len(amps)
     if u.shape != (m, m):
         raise InputError(f"transformation must be {m}x{m}, got {u.shape}")

@@ -2,12 +2,16 @@
 coefficients, and the two characteristic gap inequalities."""
 
 import itertools
+import warnings
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from urlab.analysis import minimize_slack
+from urlab.catalog import char_gap_check
 from urlab.errors import InputError, NumericError
 from urlab.linalg import (
     HERM_RTOL,
@@ -21,8 +25,14 @@ from urlab.linalg import (
     split,
     superadditive_char_gap,
 )
-from urlab.model import DensityMatrix, Observable, PureState
-from urlab.moments import RESIDUE_TOL, moment_set, robertson_matrix
+from urlab.model import DensityMatrix, Observable, PureState, fock_operators, fock_state
+from urlab.moments import (
+    RESIDUE_TOL,
+    moment_set,
+    robertson_matrix,
+    transform_observables,
+    transform_states,
+)
 
 
 def brute_char_coeffs(m):
@@ -296,8 +306,65 @@ def test_gap_rejects_nonpsd_member_naming_index():
     with pytest.raises(InputError, match="matrix 1"):
         superadditive_char_gap([good, bad], 2)
     for gap in (entangled_char_gap, superadditive_char_gap):
-        with pytest.raises(InputError, match="outside 1..0"):
+        with pytest.raises(InputError, match="^a characteristic gap takes at least one matrix$"):
             gap([], 1)
+
+
+def _order_one_gram():
+    q, p = fock_operators(4)
+    return [robertson_matrix((q, p), fock_state(0, 4))]
+
+
+def _mix(e):
+    """A 2 x 2 transformation with entry e."""
+    return [[e, 0], [0, 1]]
+
+
+# entries that would be a valid argument if they were numbers
+_STR_MAT, _BOOL_MAT = [["1", "0"], ["0", "1"]], np.eye(2, dtype=bool)
+_MALFORMED_CALLS = {
+    "char_coeffs-string": lambda: char_coeffs(_STR_MAT),
+    "char_coeffs-bool": lambda: char_coeffs(_BOOL_MAT),
+    "split-string": lambda: split(_STR_MAT),
+    "split-bool": lambda: split(_BOOL_MAT),
+    "gram-string": lambda: gram([["1", "0"]]),
+    "gram-bool": lambda: gram([[True, False]]),
+    "entangled_char_gap-string": lambda: entangled_char_gap([_STR_MAT], 1),
+    "superadditive_char_gap-bool": lambda: superadditive_char_gap([_BOOL_MAT], 1),
+    **{
+        f"{name}-r={r!r}": partial(call, r)
+        for r in (1.5, "2", True, None)
+        for name, call in [
+            ("entangled_char_gap", lambda r: entangled_char_gap([np.eye(2)], r)),
+            ("superadditive_char_gap", lambda r: superadditive_char_gap([np.eye(2)], r)),
+            ("char_gap_check", lambda r: char_gap_check(_order_one_gram(), r, "entangled")),
+        ]
+    },
+    **{
+        f"{name}-{kind}": partial(call, entry)
+        for kind, entry in [("string", "a"), ("nan", np.nan), ("inf", np.inf)]
+        for name, call in [
+            ("transform_observables", lambda e: transform_observables(_mix(e), fock_operators(4))),
+            ("transform_states", lambda e: transform_states([[e]], [fock_state(0, 4)])),
+        ]
+    },
+    "transform_observables-complex": lambda: transform_observables(_mix(1j), fock_operators(4)),
+    "minimize_slack-string-init": lambda: minimize_slack(
+        "heisenberg", fock_operators(16), 16, init=["0"] * 4),
+    "minimize_slack-bool-init": lambda: minimize_slack(
+        "heisenberg", fock_operators(16), 16, init=[False] * 4),
+}
+
+
+@pytest.mark.parametrize("call", list(_MALFORMED_CALLS.values()), ids=list(_MALFORMED_CALLS))
+def test_malformed_numeric_arguments_are_input_errors(call):
+    # every array is read by linalg.as_numbers and every order by
+    # linalg.as_integer: no raw ValueError, TypeError, IndexError or
+    # LinAlgError, no bool taken for a number, and no NaN result
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError):
+            call()
 
 
 def test_gaps_match_char_coeffs_semantics():

@@ -4,6 +4,7 @@ spin matrices, seeded sampling."""
 import bisect
 import cmath
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from urlab.model import (
     fock_state,
     quad_mix,
     quad_plus,
+    raw_density_state,
+    raw_vector_state,
     _annihilation,
     _displacement_edge,
     _displacement_turn,
@@ -636,24 +639,52 @@ def test_sample_states_pass_the_full_audit():
 
 
 _SQUARE_NAN = np.array([[np.nan, 0], [0, 1]], dtype=complex)
+# entries that would be a valid state or observable if they were numbers
+_STR_VEC, _BOOL_VEC, _RAGGED_VEC = ["1", "0"], [True, False], [[1.0], [0.0, 0.0]]
+_STR_MAT, _BOOL_MAT = [["1", "0"], ["0", "0"]], np.diag([True, False])
+_RAGGED_MAT = [[1.0, 0.0], [0.0]]
+_MALFORMED_BUILDS = {
+    "observable-non-square": lambda: Observable("wide", np.zeros((2, 3))),
+    "observable-non-finite": lambda: Observable("nan", _SQUARE_NAN),
+    "pure-non-finite": lambda: PureState(np.array([1.0, np.inf])),
+    "density-non-square": lambda: DensityMatrix(np.full((1, 2), 0.5)),
+    "density-non-finite": lambda: DensityMatrix(_SQUARE_NAN),
+    "density-non-hermitian": lambda: DensityMatrix(np.array([[0.5, 0.5], [0, 0.5]])),
+    **{
+        f"{what}-{kind}": partial(build, arg)
+        for what, build, args in [
+            ("observable", partial(Observable, "x"), (_STR_MAT, _BOOL_MAT, _RAGGED_MAT)),
+            ("pure", PureState, (_STR_VEC, _BOOL_VEC, _RAGGED_VEC)),
+            ("density", DensityMatrix, (_STR_MAT, _BOOL_MAT, _RAGGED_MAT)),
+            ("raw-vector", raw_vector_state, (_STR_VEC, _BOOL_VEC, _RAGGED_VEC)),
+            ("raw-density", raw_density_state, (_STR_MAT, _BOOL_MAT, _RAGGED_MAT)),
+        ]
+        for kind, arg in zip(("string", "bool", "ragged"), args)
+    },
+    "fock-operators-float-dim": lambda: fock_operators(2.7),
+    "fock-operators-string-dim": lambda: fock_operators("16"),
+    "coherent-float-dim": lambda: coherent_state(0.3, 16.9),
+    "sample-float-dim": lambda: sample("pure", 4.5, 1),
+    "fock-float-level": lambda: fock_state(1.5, 4),
+    "fock-bool-level": lambda: fock_state(True, 4),
+}
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: Observable("wide", np.zeros((2, 3))),
-        lambda: Observable("nan", _SQUARE_NAN),
-        lambda: PureState(np.array([1.0, np.inf])),
-        lambda: DensityMatrix(np.full((1, 2), 0.5)),
-        lambda: DensityMatrix(_SQUARE_NAN),
-        lambda: DensityMatrix(np.array([[0.5, 0.5], [0, 0.5]])),
-    ],
-    ids=["observable-non-square", "observable-non-finite", "pure-non-finite",
-         "density-non-square", "density-non-finite", "density-non-hermitian"],
-)
+@pytest.mark.parametrize("build", list(_MALFORMED_BUILDS.values()), ids=list(_MALFORMED_BUILDS))
 def test_constructors_reject_malformed_input(build):
     with pytest.raises(InputError):
         build()
+
+
+def test_an_f_ordered_matrix_reads_as_its_c_ordered_copy():
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    rho = g @ g.conj().T
+    cases = [(Observable, ("h",), g + g.conj().T), (DensityMatrix, (), rho / np.trace(rho))]
+    for cls, head, m in cases:
+        f = np.asfortranarray(m)
+        assert f.flags.f_contiguous and not f.flags.c_contiguous
+        assert cls(*head, f).digest == cls(*head, np.ascontiguousarray(m)).digest
 
 
 def test_trusted_flag_is_keyword_only_and_freezes_in_place():
