@@ -12,9 +12,9 @@ import numpy as np
 from .catalog import UR_SPECS, _pairwise_extended_sides, _schrodinger_sides, evaluate_ur, type_1_2
 from .catalog import _admit, _cross_vector, slack_derivatives
 from .errors import InputError, TruncationError
-from .linalg import as_numbers, slack_scale, slack_tolerance
+from .linalg import as_integer, as_numbers, as_real, as_seed, slack_scale, slack_tolerance
 from .model import Observable, PureState, fock_operators, squeezed_state
-from .model import _displacement_edge, _squeeze_edge, _squeezed_tangents
+from .model import _check_dim, _displacement_edge, _squeeze_edge, _squeezed_tangents
 from .moments import moment_set
 
 _TINY = 1e-300
@@ -183,14 +183,17 @@ def minimize_slack(
     spec = UR_SPECS.get(ur_id)
     if spec is None:
         raise InputError(f"unknown UR id {ur_id!r}")
-    if budget < 1 or restarts < 1:
-        raise InputError(f"budget and restarts must be at least 1, got {budget} and {restarts}")
+    dim, seed = _check_dim(dim), as_seed(seed)
+    budget, restarts = as_integer(budget, "budget", 1), as_integer(restarts, "restarts", 1)
     fixed_states = dict(fixed_states or {})
     extras = dict(extras or {})
     n_slots = spec.n_states if spec.n_states >= 0 else len(fixed_states) + len(free_slots or [1])
+    fixed_states = {
+        as_integer(slot, "fixed_states key", 0, n_slots - 1): s for slot, s in fixed_states.items()
+    }
     if free_slots is None:
         free_slots = [i for i in range(n_slots) if i not in fixed_states]
-    free_slots = list(free_slots)
+    free_slots = [as_integer(slot, "free slot", 0, n_slots - 1) for slot in free_slots]
     if not free_slots:
         raise InputError("no free state slots to optimize")
     if sorted(free_slots + list(fixed_states)) != list(range(n_slots)):
@@ -420,6 +423,7 @@ def saturation_transfer_audit(
     Moment sets are cached per state object, so pair ensembles drawn from a
     pool of states evaluate in time linear in the pool size.
     """
+    epsilon = as_real(epsilon, "epsilon", 0.0)
     eps_prime = 10.0 * epsilon
     cache: dict[int, tuple] = {}
 
@@ -473,6 +477,8 @@ def gaussian_pair_ensemble(
     `pairs` a list of (state, state) tuples (repeats across pairs are
     intentional so the audit's moment cache is effective).
     """
+    n_pairs, dim = as_integer(n_pairs, "n_pairs", 1), _check_dim(dim)
+    seed, pool_size = as_seed(seed), as_integer(pool_size, "pool_size", 1)
     try:
         r_max = min(0.9, _squeeze_edge(dim, 1.0))
     except TruncationError as exc:  # |alpha| = 1 fails even unsqueezed

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from functools import cache
@@ -31,7 +30,7 @@ from .ensembles import (
     stream_rng,
 )
 from .errors import ConfigError, InputError, NumericError
-from .linalg import SLACK_RTOL, slack_scale
+from .linalg import SLACK_RTOL, as_real, slack_scale
 from .model import (
     MAX_DIM,
     MIN_DIM,
@@ -65,23 +64,23 @@ _INT_EXTRAS = ("dim", "n", "m", "r")
 
 
 def _parse_real(value, what: str) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            x = float(value)
-        except OverflowError:  # an integer beyond the float range
-            x = math.inf
-        if math.isfinite(x):
-            return x
-    raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    """A config number, read by the library's one reader of reals."""
+    try:
+        return as_real(value, what)
+    except InputError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _parse_int(value, what: str, least: int | None = None) -> int:
+    """A config integer: a number with no fractional part, as an exact int
+    (an integer beyond 2^53 is not rounded through its float)."""
     x = _parse_real(value, what)
     if not x.is_integer():
         raise ConfigError(f"{what} must be an integer, got {value!r}")
-    if least is not None and x < least:
+    n = value if isinstance(value, int) else int(x)
+    if least is not None and n < least:
         raise ConfigError(f"{what} must be at least {least}, got {value!r}")
-    return int(x)
+    return n
 
 
 def _parse_complex(value, what: str) -> complex:

@@ -7,12 +7,15 @@ reproduce the same draws, reports, and therefore byte-identical scan output.
 from __future__ import annotations
 
 import hashlib
+import sys
 
 import numpy as np
 
 from .catalog import CHAR_GAP_IDS, H_CHOICES, UR_SPECS, URReport, evaluate_ur
 from .errors import InputError
-from .model import coherent_state, fock_operators, rand_density, rand_observable, rand_pure
+from .linalg import as_integer, as_real, as_seed
+from .model import _check_dim, coherent_state, fock_operators, rand_density, rand_observable
+from .model import rand_pure
 
 # Checks scanned by default: every displayed inequality plus the two
 # characteristic-gap flavors. coherent_fixed is excluded because its premise
@@ -37,9 +40,10 @@ DEFAULT_SCAN_URS = (
 
 
 def stream_rng(seed: int, name: str) -> np.random.Generator:
-    """Independent deterministic substream for a named scan lane."""
+    """Independent deterministic substream for a named scan lane; the seed is
+    any integer, read mod 2^64."""
     tag = int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "big")
-    return np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, tag])
+    return np.random.default_rng([as_seed(seed), tag])
 
 
 def rand_state(rng: np.random.Generator, dim: int, allow_mixed: bool):
@@ -48,17 +52,25 @@ def rand_state(rng: np.random.Generator, dim: int, allow_mixed: bool):
     return rand_pure(rng, dim)
 
 
+def _count(pinned: dict, key: str, drawn, hi: int = sys.maxsize) -> int:
+    """The pinned value of a count or order, else the drawn one, read as an
+    integer in 1..hi."""
+    return as_integer(pinned.get(key, drawn), f"pinned {key!r}", 1, hi)
+
+
 def _draw(ur_id: str, rng: np.random.Generator, dims: list, pinned: dict):
     """One random admissible instance of the named check, as (dim, observables,
     states, extras). A pinned dim, n, m or r still consumes its draw (a pinned
     h_choice does not): seeded reports and digests depend on this order."""
-    dim = int(pinned.get("dim", dims[int(rng.integers(len(dims)))]))
+    if not dims:
+        raise InputError("dims must hold at least one Hilbert dimension")
+    dim = _check_dim(pinned.get("dim", dims[rng.integers(len(dims))]))
     extras = {}
     if ur_id in CHAR_GAP_IDS:
-        n_obs = int(pinned.get("n", rng.integers(2, 4)))
-        n_states = int(pinned.get("m", rng.integers(1, 4)))
-        extras["r"] = int(pinned.get("r", rng.integers(1, n_obs + 1)))
-        extras["h_choice"] = pinned.get("h_choice") or H_CHOICES[int(rng.integers(3))]
+        n_obs = _count(pinned, "n", rng.integers(2, 4))
+        n_states = _count(pinned, "m", rng.integers(1, 4))
+        extras["r"] = _count(pinned, "r", rng.integers(1, n_obs + 1), n_obs)
+        extras["h_choice"] = pinned.get("h_choice") or H_CHOICES[rng.integers(3)]
         allow_mixed = extras["h_choice"] == "robertson"
     else:
         spec = UR_SPECS.get(ur_id)
@@ -66,9 +78,9 @@ def _draw(ur_id: str, rng: np.random.Generator, dims: list, pinned: dict):
             raise InputError(f"unknown UR id {ur_id!r}")
         n_obs, n_states = spec.n_observables, spec.n_states
         if n_obs < 0:
-            n_obs = int(pinned.get("n", rng.integers(2, 5)))
+            n_obs = _count(pinned, "n", rng.integers(2, 5))
         if n_states < 0:
-            n_states = int(pinned.get("m", rng.integers(2, 5)))
+            n_states = _count(pinned, "m", rng.integers(2, 5))
         allow_mixed = not spec.pure_only
     observables = tuple(rand_observable(rng, dim, f"H{i}") for i in range(n_obs))
     states = tuple(rand_state(rng, dim, allow_mixed) for _ in range(n_states))
@@ -80,7 +92,7 @@ def scan_report(ur_id: str, rng: np.random.Generator, dims, pinned=None) -> URRe
     pinned = pinned or {}
     _, observables, states, extras = _draw(ur_id, rng, list(dims), pinned)
     if ur_id == "characteristic":
-        extras["r"] = int(pinned.get("r", rng.integers(1, len(observables) + 1)))
+        extras["r"] = _count(pinned, "r", rng.integers(1, len(observables) + 1), len(observables))
     return evaluate_ur(ur_id, observables, states, **extras)
 
 
@@ -89,6 +101,7 @@ def random_instances(ur_id: str, size: int, dims, seed: int):
     reusable across checks with the same signature."""
     if ur_id not in UR_SPECS:
         raise InputError(f"no generic instance generator for {ur_id!r}")
+    size = as_integer(size, "size", 1)
     rng = stream_rng(seed, f"instances:{ur_id}")
     dims = list(dims)
     out = []
@@ -106,6 +119,7 @@ def coherent_pair_grid(dim: int = 64, extent: float = 2.0, points: int = 5):
     checks in both directions of the relative-defect ordering.
     """
     _, p = fock_operators(dim)
+    extent, points = as_real(extent, "extent"), as_integer(points, "points", 1)
     axis = np.linspace(-extent, extent, points)
     alphas = [complex(x, y) for x in axis for y in axis]
     states = [coherent_state(a, dim) for a in alphas]

@@ -14,6 +14,10 @@ about 1e-15 relative, so every admitted dimension keeps a wide margin.
 
 from __future__ import annotations
 
+import cmath
+import math
+import sys
+
 import numpy as np
 
 from .errors import InputError, NumericError
@@ -26,6 +30,12 @@ SLACK_RTOL = 1e-8
 HERM_RTOL = 1e-10
 
 MAX_ORDER = 32
+
+# what the scalar readers take; a Python bool is an int and is refused apart,
+# a numpy bool is none of these
+_REALS = (int, float, np.integer, np.floating)
+_NUMBERS = (int, float, complex, np.number)
+_SEED_MASK = 2**64 - 1
 
 
 def slack_scale(lhs: float, rhs: float) -> float:
@@ -53,12 +63,53 @@ def as_numbers(a, name: str) -> np.ndarray:
     return a
 
 
-def as_integer(value, name: str, lo: int, hi: int) -> int:
-    """The package's one reader of integer arguments: a Python or numpy
-    integer in lo..hi, as int; a bool is not an integer here."""
-    if (type(value) is int or isinstance(value, np.integer)) and lo <= value <= hi:
-        return int(value)
+def as_integer(value, name: str, lo: int, hi: int = sys.maxsize) -> int:
+    """The package's one reader of integer arguments (counts, slots, orders,
+    dimensions): a Python or numpy integer in lo..hi, as int; a bool is not an
+    integer here. `hi` defaults to the largest array size, sys.maxsize."""
+    if type(value) is int or isinstance(value, np.integer):
+        n = int(value)
+        if lo <= n <= hi:
+            return n
     raise InputError(f"{name} must be an integer in {lo}..{hi}, got {value!r}")
+
+
+def as_seed(value) -> int:
+    """The package's one reader of seeds: any Python or numpy integer, not a
+    bool, reduced mod 2^64, so that 0..2^64-1 are read as they are and a
+    negative seed names the stream of its 64-bit two's complement."""
+    if type(value) is int or isinstance(value, np.integer):
+        return int(value) & _SEED_MASK
+    raise InputError(f"seed must be an integer, got {value!r}")
+
+
+def as_real(value, name: str, lo: float = -math.inf) -> float:
+    """The package's one reader of real arguments: a Python or numpy integer
+    or float, not a bool, finite (an integer too large for a float is not)
+    and >= lo, as float."""
+    if type(value) is float or (isinstance(value, _REALS) and type(value) is not bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            x = math.nan
+        if lo <= x and math.isfinite(x):  # a NaN fails the first test
+            return x
+    floor = "" if lo == -math.inf else f" >= {lo:g}"
+    raise InputError(f"{name} must be a finite real number{floor}, got {value!r}")
+
+
+def as_complex(value, name: str) -> complex:
+    """The package's one reader of complex arguments: a Python or numpy
+    number, not a bool, finite (an integer too large for a float is not), as
+    complex."""
+    if type(value) is complex or (isinstance(value, _NUMBERS) and type(value) is not bool):
+        try:
+            z = complex(value)
+        except OverflowError:  # an integer beyond the float range
+            z = complex(math.nan)
+        if cmath.isfinite(z):
+            return z
+    raise InputError(f"{name} must be a finite complex number, got {value!r}")
 
 
 def as_square_matrix(m, name: str = "matrix") -> np.ndarray:

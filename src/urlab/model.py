@@ -13,12 +13,13 @@ import cmath
 import hashlib
 import math
 from dataclasses import KW_ONLY, InitVar, dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
 from .errors import InputError, TruncationError
-from .linalg import as_integer, as_numbers, as_square_matrix, psd_certified, require_hermitian
+from .linalg import as_complex, as_integer, as_numbers, as_real, as_seed, as_square_matrix
+from .linalg import psd_certified, require_hermitian
 
 MIN_DIM = 2
 MAX_DIM = 512
@@ -27,11 +28,13 @@ NORM_TOL = 1e-12
 # Poisson weight allowed on levels >= N-2 for coherent states.
 COHERENT_TAIL_TOL = 1e-12
 # Weight of the ideal (untruncated) squeezed state allowed on levels >= N-2,
-# from its three-term Fock recurrence. At the admissibility edge (|r| ~ 1 at
-# N = 64) the Gaussian moment formulas hold to ~1e-6 relative; the error grows
-# about as tail * N, to ~1e-5 at N = 512. Well inside (tail <= 1e-14) they hold
-# to ~1e-11.
+# from its three-term Fock recurrence: SQUEEZED_TAIL_TOL up to N = 64 and
+# about SQUEEZED_TAIL_SCALE / N above it (`squeezed_tail_tol`). At the
+# admissibility edge the Gaussian moment errors grow about as tail * N, so the
+# limit holds them near 6e-7 relative at every N, as at N = 64 (|r| ~ 1); well
+# inside (tail <= 1e-14) they hold to ~1e-11.
 SQUEEZED_TAIL_TOL = 1e-8
+SQUEEZED_TAIL_SCALE = 6.4e-7  # / 64 == SQUEEZED_TAIL_TOL, bit for bit
 
 _SAMPLE_KINDS = ("pure", "density", "hermitian", "psd")
 
@@ -44,6 +47,38 @@ BUILDER_CACHE_SIZE = 4
 
 def _check_dim(n: int) -> int:
     return as_integer(n, "Hilbert dimension", MIN_DIM, MAX_DIM)
+
+
+def squeezed_tail_tol(n: int) -> float:
+    """The squeezed-state truncation audit's limit at dimension n:
+    min(SQUEEZED_TAIL_TOL, SQUEEZED_TAIL_SCALE / m), m = n rounded up to even,
+    equal to SQUEEZED_TAIL_TOL for n <= 64.
+
+    The limit is kept per pair of levels: a squeezed vacuum has no weight on
+    odd levels, so its tails at an odd n and at n + 1 are equal, and with one
+    limit for both its admission only improves as n grows.
+    """
+    return min(SQUEEZED_TAIL_TOL, SQUEEZED_TAIL_SCALE / (n + n % 2))
+
+
+def _cached_by(read):
+    """A builder of one argument, cached per BUILDER_CACHE_SIZE values of
+    ``read(arg)``: the argument is read before any lookup, so a malformed one
+    raises rather than meeting an equal key (True == 1), and equal readings
+    (8 and np.int64(8)) share an entry. `cache_info` and `cache_clear` are
+    the cache's."""
+
+    def wrap(build):
+        cached = lru_cache(maxsize=BUILDER_CACHE_SIZE)(build)
+
+        @wraps(build)
+        def builder(arg):
+            return cached(read(arg))
+
+        builder.cache_info, builder.cache_clear = cached.cache_info, cached.cache_clear
+        return builder
+
+    return wrap
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -162,7 +197,7 @@ def _annihilation(n: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, n)), 1).astype(complex)
 
 
-@lru_cache(maxsize=BUILDER_CACHE_SIZE)
+@_cached_by(_check_dim)
 def fock_operators(n: int) -> tuple[Observable, Observable]:
     """Truncated quadratures (q, p) in the number basis, a|k> = sqrt(k)|k-1>.
 
@@ -170,7 +205,6 @@ def fock_operators(n: int) -> tuple[Observable, Observable]:
     corner, so commutator expectations are i for states with negligible weight
     on the top level.
     """
-    n = _check_dim(n)
     a = _annihilation(n)
     ad = a.conj().T
     q = (a + ad) / math.sqrt(2)
@@ -184,7 +218,7 @@ def _annihilation_squared(n: int) -> np.ndarray:
     return np.diag(np.sqrt(k) * np.sqrt(k + 1), 2)
 
 
-@lru_cache(maxsize=BUILDER_CACHE_SIZE)
+@_cached_by(_check_dim)
 def quad_plus(n: int) -> Observable:
     """The continuous-spectrum combination p² − q² = −(a² + a†²), cached per
     dimension.
@@ -192,15 +226,15 @@ def quad_plus(n: int) -> Observable:
     The a a† and a† a terms of p² and q² cancel, so the identity holds exactly
     for the truncated matrices too.
     """
-    a2 = _annihilation_squared(_check_dim(n))
+    a2 = _annihilation_squared(n)
     return Observable("p2-q2", -(a2 + a2.T))
 
 
-@lru_cache(maxsize=BUILDER_CACHE_SIZE)
+@_cached_by(_check_dim)
 def quad_mix(n: int) -> Observable:
     """The continuous-spectrum combination pq + qp = −i(a² − a†²), exact for the
     truncated matrices as in `quad_plus` and cached per dimension."""
-    a2 = _annihilation_squared(_check_dim(n))
+    a2 = _annihilation_squared(n)
     return Observable("pq+qp", -1j * (a2 - a2.T))
 
 
@@ -218,10 +252,8 @@ def coherent_state(alpha: complex, n: int) -> PureState:
     squeezed-state audit, to stay below 1e-12; then <q> = √2 Re(alpha),
     <p> = √2 Im(alpha) and Δq² = Δp² = 1/2 hold to ~1e-9.
     """
-    n = _check_dim(n)
-    if not cmath.isfinite(alpha):
-        raise InputError(f"coherent state amplitude must be finite, got alpha={alpha}")
-    _audit_tail(alpha, 0.0, 0.0, n, COHERENT_TAIL_TOL, "coherent state has Poisson tail")
+    n, alpha = _check_dim(n), as_complex(alpha, "alpha")
+    _audit_tail(alpha, 0.0, 0.0, n, lambda d: COHERENT_TAIL_TOL, "coherent state has Poisson tail")
     amp = np.zeros(n, dtype=complex)
     amp[0] = 1.0
     for k in range(1, n):
@@ -230,6 +262,22 @@ def coherent_state(alpha: complex, n: int) -> PureState:
 
 
 _SQRT = tuple(math.sqrt(k) for k in range(MAX_DIM))
+
+# Below _DIRECT_TAIL the weight on levels >= n-2 is summed term by term, not
+# taken as 1 - (weight below): that difference keeps the rounding of every
+# term of the recurrence, which grows with N to about 1.6e-13 absolute at
+# N = 512 (the largest seen over about a thousand coherent and squeezed
+# states near 1e-12 at N = 384 and 512), a part in 1e4 of the squeezed limit,
+# where the direct sum is accurate to about 1e-13 relative. An early stop
+# needs the partial weight under `stop` by _TAIL_MARGIN of it and by at least
+# _TAIL_ROUNDING, so by three or more times that rounding (the absolute floor
+# is the one that counts at the coherent limit, 1e-12), and it never decides
+# a state the direct sum would decide otherwise. The direct sum ends once two
+# consecutive terms (one of them 0 on the odd levels of a squeezed vacuum)
+# add up to under _TAIL_FLOOR, 1e-16 of the smallest limit, or at
+# _TAIL_LEVELS.
+_DIRECT_TAIL, _TAIL_MARGIN, _TAIL_ROUNDING = 1e-6, 1e-3, 5e-13
+_TAIL_FLOOR, _TAIL_LEVELS = 1e-28, 8 * MAX_DIM
 
 
 def _ideal_tail(alpha: complex, r: float, phi: float, n: int, stop: float = -math.inf) -> float:
@@ -240,11 +288,15 @@ def _ideal_tail(alpha: complex, r: float, phi: float, n: int, stop: float = -mat
     its amplitudes follow the three-term recurrence
     sqrt(k+1) psi_{k+1} = (alpha + t alpha*) psi_k - t sqrt(k) psi_{k-1}
     from psi_0 = exp(-|alpha|^2/2 - alpha*^2 t/2) / sqrt(mu). The weight is
-    non-increasing in n, also in floating point.
+    1 - (the weight below n-2), or, where that is under 1e-6, the sum of the
+    weights from level n-2 on, continued past n (see _DIRECT_TAIL); it is
+    non-increasing in n.
 
-    The sum stops as soon as the remaining weight is <= `stop` and returns
-    that partial value: the running total never decreases, so the full
-    weight is <= `stop` exactly when the partial one is.
+    The sum stops as soon as the remaining weight is under `stop` by 1e-3 of
+    it and by at least 5e-13, and returns that partial value: the running
+    total never decreases, and the margin is three or more times the rounding
+    of 1 - total, so the full weight is <= `stop` exactly when the partial
+    one is.
     """
     alpha = complex(alpha)
     ac = alpha.conjugate()
@@ -254,24 +306,41 @@ def _ideal_tail(alpha: complex, r: float, phi: float, n: int, stop: float = -mat
     b = alpha + t * ac
     prev = 0j
     cur = cmath.exp(-0.5 * abs(alpha) * abs(alpha) - 0.5 * t * ac * ac) * math.sqrt(sech)
-    total = 0.0
+    total, early = 0.0, min(stop * (1.0 - _TAIL_MARGIN), stop - _TAIL_ROUNDING)
     for k in range(n - 2):
         total += cur.real * cur.real + cur.imag * cur.imag
-        if 1.0 - total <= stop:
-            break
+        if 1.0 - total <= early:
+            return 1.0 - total
         prev, cur = cur, (b * cur - t * _SQRT[k] * prev) / _SQRT[k + 1]
-    return 1.0 - total
+    if not 1.0 - total <= _DIRECT_TAIL:  # a NaN from overflowing parameters stays NaN
+        return 1.0 - total
+    tail, last = 0.0, math.inf
+    for k in range(n - 2, _TAIL_LEVELS):  # cur is psi_k
+        w = cur.real * cur.real + cur.imag * cur.imag
+        tail += w
+        if w + last < _TAIL_FLOOR:
+            break
+        last = w
+        prev, cur = cur, (b * cur - t * math.sqrt(k) * prev) / math.sqrt(k + 1)
+    return tail
 
 
-def _audit_tail(alpha: complex, r: float, phi: float, n: int, tol: float, what: str) -> None:
+def _audit_tail(alpha: complex, r: float, phi: float, n: int, limit, what: str) -> None:
     """The Gaussian family's truncation audit: raise `TruncationError`, opening
-    with `what`, unless `_ideal_tail` is <= `tol`; the hint is the smallest
-    admitted dimension, bisected since the tail is non-increasing in n."""
+    with `what`, unless `_ideal_tail` is <= `limit(n)`, the limit at dimension
+    n. The hint is the smallest admitted dimension, bisected since the tail is
+    non-increasing in n and falls at least as fast as `squeezed_tail_tol`
+    where that limit falls (checked for squeezed vacua at every n)."""
+    tol = limit(n)
     tail = _ideal_tail(alpha, r, phi, n, stop=tol)
     if tail <= tol:  # a NaN tail from overflowing parameters is rejected everywhere
         return
+
+    def admitted(d: int) -> bool:
+        return _ideal_tail(alpha, r, phi, d, stop=limit(d)) <= limit(d)
+
     dims = range(n + 1, MAX_DIM + 1)
-    i = bisect.bisect_left(dims, True, key=lambda d: _ideal_tail(alpha, r, phi, d, stop=tol) <= tol)
+    i = bisect.bisect_left(dims, True, key=admitted)
     req = dims[i] if i < len(dims) else None
     hint = f"; need dimension >= {req}" if req else ""
     msg = f"{what} {tail:.3e} on levels >= {n - 2} at |alpha|={abs(alpha):.3g}, r={r:.3g}"
@@ -288,8 +357,9 @@ def _squeeze_edge(n: int, alpha: float) -> float:
     One step of the 2^-20 grid is given back: across phases the tail's rounding
     moves the edge by under 1e-8.
     """
-    n, tol = _check_dim(n), SQUEEZED_TAIL_TOL
-    _audit_tail(alpha, 0.0, 0.0, n, tol, "squeezed state has ideal weight")
+    n = _check_dim(n)
+    tol = squeezed_tail_tol(n)
+    _audit_tail(alpha, 0.0, 0.0, n, squeezed_tail_tol, "squeezed state has ideal weight")
     steps = range(2**23)  # r = k * 2^-20 up to 8, where the weight sits above level 512
     fails = lambda k: _ideal_tail(alpha, -k / 2**20, 0.0, n, stop=tol) > tol
     return (bisect.bisect_left(steps, True, key=fails) - 2) / 2**20
@@ -460,13 +530,12 @@ def squeezed_state(alpha: complex, r: float, phi: float, n: int) -> PureState:
     up to truncation error.
 
     Before building, the weight of the ideal (untruncated) state on levels
-    >= n-2 is audited against SQUEEZED_TAIL_TOL; a state above it is rejected
-    with the smallest admissible dimension as a hint.
+    >= n-2 is audited against `squeezed_tail_tol(n)`; a state above it is
+    rejected with a dimension that admits it as a hint (see `_audit_tail`).
     """
-    n = _check_dim(n)
-    if not (cmath.isfinite(alpha) and math.isfinite(r) and math.isfinite(phi)):
-        raise InputError(f"squeezed state parameters must be finite: alpha={alpha}, r={r}, phi={phi}")
-    _audit_tail(alpha, r, phi, n, SQUEEZED_TAIL_TOL, "squeezed state has ideal weight")
+    n, alpha = _check_dim(n), as_complex(alpha, "alpha")
+    r, phi = as_real(r, "r"), as_real(phi, "phi")
+    _audit_tail(alpha, r, phi, n, squeezed_tail_tol, "squeezed state has ideal weight")
     return PureState(_squeezed_amplitudes(alpha, r, phi, n), _trusted=True)
 
 
@@ -479,7 +548,7 @@ def _squeezed_amplitudes(alpha: complex, r: float, phi: float, n: int) -> np.nda
     return vec / np.linalg.norm(vec)
 
 
-@lru_cache(maxsize=BUILDER_CACHE_SIZE)
+@_cached_by(lambda j: as_real(j, "j"))
 def spin_operators(j: float) -> tuple[Observable, Observable, Observable]:
     """Angular-momentum matrices (Jx, Jy, Jz) for half-integer j, dim = 2j + 1,
     cached per j."""
@@ -542,7 +611,7 @@ def sample(kind: str, dim: int, seed: int):
     """
     if kind not in _SAMPLE_KINDS:
         raise InputError(f"unknown sample kind {kind!r}; expected one of {_SAMPLE_KINDS}")
-    dim = _check_dim(dim)
+    dim, seed = _check_dim(dim), as_seed(seed)
     rng = np.random.default_rng(seed)
     if kind == "pure":
         return rand_pure(rng, dim)

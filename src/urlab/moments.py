@@ -101,9 +101,13 @@ def _raw_moments(mats: list[np.ndarray], state: QuantumState):
         psi = state.amplitudes
         rows = np.array([m @ psi for m in mats])
         return rows, np.array([np.vdot(psi, v) for v in rows]), rows.conj() @ rows.T
-    left = [state.matrix @ m for m in mats]
-    m2 = np.array([[np.sum(lj.T * mk) for mk in mats] for lj in left])
-    return None, np.array([np.trace(lj) for lj in left]), m2
+    # one stacked product rho X_i, then row j of M as one product over all k:
+    # each entry is still one pairwise sum of a contiguous d*d block, as in
+    # np.sum((rho X_j).T * X_k), so the bits are those of the per-pair loop
+    stack = np.array(mats)
+    left = state.matrix @ stack
+    m2 = np.array([(lj.T * stack).reshape(len(mats), -1).sum(axis=1) for lj in left])
+    return None, np.trace(left, axis1=1, axis2=2), m2
 
 
 def second_moment_matrix(observables, state: QuantumState) -> np.ndarray:

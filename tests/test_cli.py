@@ -917,3 +917,14 @@ def test_config_fuzz_exit_codes(tmp_path, capsys):
         ("minimize", ("free_slots",), "int"),
         ("minimize", ("free_slots", 0), "float"),
     } <= reached
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64 - 1, 2**63 + 1])
+def test_minimize_takes_any_integer_seed(tmp_path, seed):
+    # the library reads a seed mod 2^64, as scan and compare do; the report
+    # echoes the seed as given, with no rounding through a float
+    config = dict(MINIMIZE_TINY, restarts=3, seed=seed)
+    code, doc = run(tmp_path, "minimize", config)
+    assert code == 0 and doc["seed"] == seed
+    twin = run(tmp_path, "minimize", dict(config, seed=seed % 2**64))[1]
+    assert doc["results"] == twin["results"]

@@ -37,6 +37,7 @@ from urlab.model import (
     sample,
     spin_operators,
     squeezed_state,
+    squeezed_tail_tol,
 )
 
 
@@ -342,18 +343,20 @@ def test_squeezed_gaussian_moments_at_large_dim(alpha, r, phi, n):
 @pytest.mark.parametrize("n", [64, 256, MAX_DIM])
 def test_squeezed_moments_at_admissibility_edge(n):
     # states whose ideal tail lies just under the limit: the truncation error
-    # of the moments grows with the levels it sits on, about tail * N
+    # of the moments grows with the levels it sits on, about tail * N, and the
+    # limit falls as 1/N above N = 64, so the bound is the same at every N
     rng = np.random.default_rng(n)
     r_max = {64: 1.1, 256: 1.8, MAX_DIM: 2.2}[n]
+    limit = squeezed_tail_tol(n)
     edge = 0
     for _ in range(3000):
         alpha = complex(*rng.uniform(-1.0, 1.0, 2)) * 0.95 * math.sqrt(n) * rng.uniform()
         r, phi = rng.uniform(-r_max, r_max), rng.uniform(0, 2 * np.pi)
         tail = _ideal_tail(alpha, r, phi, n)
-        if not 0.01 * SQUEEZED_TAIL_TOL <= tail <= SQUEEZED_TAIL_TOL:
+        if not 0.01 * limit <= tail <= limit:
             continue
         edge += 1
-        assert max(gaussian_moment_errors(alpha, r, phi, n)) < 10 * SQUEEZED_TAIL_TOL * n
+        assert max(gaussian_moment_errors(alpha, r, phi, n)) < 10 * limit * n
         if edge == 20:
             break
     assert edge == 20
@@ -368,11 +371,23 @@ def test_ideal_tail_matches_a_large_dim_state():
         assert tail == pytest.approx(np.sum(np.abs(big[n - 2 :]) ** 2), abs=1e-13)
 
 
-def _full_recurrence_hint(alpha, r, phi, n):
+@pytest.mark.parametrize("n", [63, 64, 101, 256])
+def test_small_tails_are_summed_directly(n):
+    # below 1e-6 the weight is the sum of the levels >= n-2 themselves: it
+    # matches the weight of a state built at MAX_DIM, odd levels of a squeezed
+    # vacuum (exactly 0) included, and it does not grow with n
+    edge = _squeeze_edge(n, 0.0)
+    for alpha, r in ((0j, edge), (0j, -0.9 * edge), (0.3 - 0.2j, 0.5 * edge)):
+        tail = _ideal_tail(alpha, r, 0.7, n)
+        assert 0 < tail <= 1e-6
+        big = squeezed_state(alpha, r, 0.7, MAX_DIM).amplitudes
+        assert tail == pytest.approx(np.sum(np.abs(big[n - 2 :]) ** 2), rel=1e-6)
+        assert _ideal_tail(alpha, r, 0.7, n + 1) <= tail
+
+
+def _full_recurrence_hint(alpha, r, phi, n, limit=squeezed_tail_tol):
     dims = range(n + 1, MAX_DIM + 1)
-    i = bisect.bisect_left(
-        dims, True, key=lambda d: _ideal_tail(alpha, r, phi, d) <= SQUEEZED_TAIL_TOL
-    )
+    i = bisect.bisect_left(dims, True, key=lambda d: _ideal_tail(alpha, r, phi, d) <= limit(d))
     return dims[i] if i < len(dims) else None
 
 
@@ -383,23 +398,24 @@ def test_early_stopped_audit_admits_exactly_the_full_recurrence(n):
     # be those of the full recurrence
     rng = np.random.default_rng(100 + n)
     r_max = {64: 1.1, 256: 1.8, MAX_DIM: 2.2}[n]
+    limit = squeezed_tail_tol(n)
     verdicts = []
     for _ in range(30):
         r, phi = rng.uniform(-r_max, r_max), rng.uniform(0, 2 * np.pi)
         unit = cmath.exp(1j * rng.uniform(0, 2 * np.pi))
-        if _ideal_tail(0, r, phi, n) > SQUEEZED_TAIL_TOL:
+        if _ideal_tail(0, r, phi, n) > limit:
             continue
         # bracket the |alpha| where the full tail crosses the limit
         lo, hi = 0.0, math.sqrt(n)
         for _ in range(50):
             mid = 0.5 * (lo + hi)
-            if _ideal_tail(mid * unit, r, phi, n) <= SQUEEZED_TAIL_TOL:
+            if _ideal_tail(mid * unit, r, phi, n) <= limit:
                 lo = mid
             else:
                 hi = mid
         for amag in (lo, hi, lo * (1 + rng.uniform(-1e-3, 1e-3))):
             alpha = amag * unit
-            admitted = _ideal_tail(alpha, r, phi, n) <= SQUEEZED_TAIL_TOL
+            admitted = _ideal_tail(alpha, r, phi, n) <= limit
             try:
                 squeezed_state(alpha, r, phi, n)
                 built = True
@@ -409,6 +425,62 @@ def test_early_stopped_audit_admits_exactly_the_full_recurrence(n):
             assert built == admitted, (alpha, r, phi, n)
             verdicts.append(admitted)
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+
+@pytest.mark.parametrize("n", [16, 64, 256, MAX_DIM])
+def test_early_stopped_coherent_audit_admits_exactly_the_full_recurrence(n):
+    # the coherent limit, 1e-12, is near the rounding of 1 - total, so the
+    # early stop keeps an absolute margin; within 1% of the limit and beyond
+    # the verdict and the hint must still be those of the full recurrence
+    rng = np.random.default_rng(200 + n)
+    verdicts = []
+    for _ in range(10):
+        unit = cmath.exp(1j * rng.uniform(0, 2 * np.pi))
+        lo, hi = 0.0, math.sqrt(n)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if _ideal_tail(mid * unit, 0.0, 0.0, n) <= COHERENT_TAIL_TOL:
+                lo = mid
+            else:
+                hi = mid
+        for amag in (lo, hi, *(lo * (1 + rng.uniform(-1e-4, 1e-4, 4)))):
+            alpha = amag * unit
+            admitted = _ideal_tail(alpha, 0.0, 0.0, n) <= COHERENT_TAIL_TOL
+            try:
+                coherent_state(alpha, n)
+                built = True
+            except TruncationError as err:
+                built = False
+                assert err.required_dim == _full_recurrence_hint(
+                    alpha, 0.0, 0.0, n, lambda d: COHERENT_TAIL_TOL)
+            assert built == admitted, (alpha, n)
+            verdicts.append(admitted)
+    assert verdicts.count(True) >= 15 and verdicts.count(False) >= 15
+
+
+def test_squeezed_vacua_are_admitted_monotonically_in_n():
+    # a squeezed vacuum's tails at an odd n and at n + 1 are equal (its odd
+    # levels are empty), and the limit is kept per pair of levels: on the
+    # 2^-20 grid of r, the first r rejected at n is never below the first
+    # rejected at n - 1, so the bisected hint is the smallest admitted n
+    steps = range(2**23)
+
+    def first_rejected(n):
+        tol = squeezed_tail_tol(n)
+        return bisect.bisect_left(
+            steps, True, key=lambda k: _ideal_tail(0, k / 2**20, 0.0, n, stop=tol) > tol)
+
+    dims = range(64, MAX_DIM + 1)
+    firsts = [first_rejected(n) for n in dims]
+    assert firsts == sorted(firsts)
+    hints = []
+    for n in (65, 66, 127, 300, 511):  # 511 and 512 share a limit: no hint
+        k = firsts[n - 64]
+        with pytest.raises(TruncationError) as err:
+            squeezed_state(0, k / 2**20, 0.0, n)
+        hints.append(err.value.required_dim)
+        assert hints[-1] == next((d for d, f in zip(dims, firsts) if f > k), None)
+    assert hints[-1] is None and None not in hints[:-1]
 
 
 def test_squeezed_audit_rejects_wrapped_displacement():

@@ -429,6 +429,31 @@ def test_moment_set_mixed_commutators_match_trace_formula(d):
         assert ms.m2.tobytes() == second_moment_matrix(obs, rho).tobytes()
 
 
+def per_pair_mixed_moments(mats, rho):
+    """The density-matrix means and raw second moments one product at a time:
+    rho X_j per observable, Tr(rho X_j X_k) as np.sum((rho X_j).T * X_k) per
+    pair, and each trace of rho X_j."""
+    left = [rho @ m for m in mats]
+    m2 = np.array([[np.sum(lj.T * mk) for mk in mats] for lj in left])
+    return np.array([np.trace(lj) for lj in left]), m2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 12, 64, 256])
+def test_mixed_moments_are_bit_identical_to_per_pair_products(d, n):
+    # `_raw_moments` stacks the products rho X_i and forms each row of M in
+    # one product over all observables; every entry keeps its own summation
+    rng = np.random.default_rng(300 * d + n)
+    for _ in range(3 if d <= 12 else 1):
+        obs = rand_observables(rng, n, d)
+        for rho in (rand_density(rng, d), rand_density(rng, d, rank=1)):
+            rows, means, m2 = moments._raw_moments([o.matrix for o in obs], rho)
+            want_means, want_m2 = per_pair_mixed_moments([o.matrix for o in obs], rho.matrix)
+            assert rows is None
+            assert means.tobytes() == want_means.tobytes()
+            assert m2.tobytes() == want_m2.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # per-state moment memo
 
