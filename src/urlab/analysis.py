@@ -5,7 +5,9 @@ observable-induced divergences."""
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -185,8 +187,13 @@ def minimize_slack(
         raise InputError(f"unknown UR id {ur_id!r}")
     dim, seed = _check_dim(dim), as_seed(seed)
     budget, restarts = as_integer(budget, "budget", 1), as_integer(restarts, "restarts", 1)
-    fixed_states = dict(fixed_states or {})
-    extras = dict(extras or {})
+    fixed_states = {} if fixed_states is None else fixed_states
+    extras = {} if extras is None else extras
+    for name, value in (("fixed_states", fixed_states), ("extras", extras)):
+        if not isinstance(value, Mapping):
+            raise InputError(f"{name} must be a mapping, got {value!r}")
+    if free_slots is not None and not isinstance(free_slots, (list, tuple, range, np.ndarray)):
+        raise InputError(f"free_slots must be a sequence of slot numbers, got {free_slots!r}")
     n_slots = spec.n_states if spec.n_states >= 0 else len(fixed_states) + len(free_slots or [1])
     fixed_states = {
         as_integer(slot, "fixed_states key", 0, n_slots - 1): s for slot, s in fixed_states.items()
@@ -251,14 +258,12 @@ def minimize_slack(
 
         return evaluate_ur(ur_id, observables, states, **extras).slack, gradient
 
-    draws = np.random.default_rng(seed).uniform(
-        [-0.6, -0.6, -0.7, 0], [0.6, 0.6, 0.7, 2 * np.pi],
-        size=(max(0, restarts - len(starts)), len(free_slots), 4),
-    )
-    starts += list((draws * [a_max, a_max, r_max, 1.0]).reshape(-1, n_par))
+    rng = np.random.default_rng(seed)
+    box = ([-0.6, -0.6, -0.7, 0], [0.6, 0.6, 0.7, 2 * np.pi], (len(free_slots), 4))
+    seeded = ((rng.uniform(*b) * [a_max, a_max, r_max, 1.0]).ravel() for b in repeat(box))
 
     best = None
-    for x0 in starts[:restarts]:
+    for x0 in islice(chain(starts, seeded), restarts):  # a seeded start is drawn as it descends
         xb, fb, iters, _, conv = nelder_mead(objective, x0, budget=budget, project=project)
         if best is None or fb < best[1]:
             best = (xb, fb, iters, conv)

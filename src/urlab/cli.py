@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from functools import cache
-from itertools import chain
 
 import numpy as np
 
@@ -30,11 +29,10 @@ from .ensembles import (
     stream_rng,
 )
 from .errors import ConfigError, InputError, NumericError
-from .linalg import SLACK_RTOL, as_real, slack_scale
+from .linalg import SLACK_RTOL, as_complex, as_integer, as_numbers, as_real, as_seed, slack_scale
 from .model import (
-    MAX_DIM,
-    MIN_DIM,
     Observable,
+    _check_dim,
     fock_operators,
     fock_state,
     coherent_state,
@@ -59,73 +57,58 @@ _JSON_WHITESPACE = " \t\n\r"
 # the keys a scan's `pinned` object and `urs` entries take: the shape of the
 # instances drawn, and the extras of the checks drawn
 _SCAN_PINS = ("dim", "n", "m", "r", "h_choice")
-# check extras and scan pins that hold integers
-_INT_EXTRAS = ("dim", "n", "m", "r")
+# the reader of each check extra and scan pin that holds an integer, and the
+# reader's arguments after the value's name
+_INT_EXTRAS = {"dim": (_check_dim,), **dict.fromkeys(("n", "m", "r"), (as_integer, 1))}
 
 
-def _parse_real(value, what: str) -> float:
-    """A config number, read by the library's one reader of reals."""
+def _read(reader, value, *args):
+    """``reader(value, *args)``, a library reader, with its refusal as a config
+    error: the one place an InputError becomes a ConfigError. So a value outside
+    the range its reader admits on its own exits 2, while one the library refuses
+    against another input (a Fock level >= the dimension, an order r > n, a slot
+    the check lacks) stays an input error, exit 3."""
     try:
-        return as_real(value, what)
+        return reader(value, *args)
     except InputError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _parse_int(value, what: str, least: int | None = None) -> int:
-    """A config integer: a number with no fractional part, as an exact int
-    (an integer beyond 2^53 is not rounded through its float)."""
-    x = _parse_real(value, what)
-    if not x.is_integer():
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    n = value if isinstance(value, int) else int(x)
-    if least is not None and n < least:
-        raise ConfigError(f"{what} must be at least {least}, got {value!r}")
-    return n
+def _parse_int(reader, value, *args) -> int:
+    """A config integer, read by ``reader`` (`as_integer`, `as_seed` or
+    `_check_dim`) through `_read`. An integral float such as 2.0 is the int
+    it equals: the readers refuse floats, JSON writers do not."""
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    return _read(reader, value, *args)
 
 
 def _parse_complex(value, what: str) -> complex:
     if isinstance(value, (int, float)):
-        return complex(_parse_real(value, what))
+        return _read(as_complex, value, what)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(_parse_real(value[0], what), _parse_real(value[1], what))
+        return complex(_read(as_real, value[0], what), _read(as_real, value[1], what))
     raise ConfigError(f"{what} must be a number or [re, im] pair, got {value!r}")
 
 
 def _parse_matrix(rows, what: str) -> np.ndarray:
-    """Parse rows of numbers, or rows of [re, im] pairs, as one complex array."""
-    shape = (
-        f"{what} must be a non-empty row-major list of rows of equal length, "
+    """Rows of numbers, or rows of [re, im] pairs, as one complex array; the
+    entries are read by `as_numbers`."""
+    a = _read(as_numbers, rows, what)
+    if a.ndim == 2:
+        return a
+    if a.ndim == 3 and a.shape[2] == 2:  # [re, im] pairs of reals, read as complex
+        return np.ascontiguousarray(a.real).view(complex).reshape(a.shape[:2])
+    raise ConfigError(
+        f"{what} must be a row-major list of rows of equal length, "
         "all entries numbers or all [re, im] pairs"
     )
-    if not isinstance(rows, list) or not rows:
-        raise ConfigError(shape)
-    try:
-        a = np.array(rows, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # ragged, or an entry that is no number
-        raise ConfigError(shape) from None
-    if a.ndim == 3 and a.shape[2] == 2:
-        entries = chain.from_iterable(chain.from_iterable(rows))
-    elif a.ndim == 2:
-        entries = chain.from_iterable(rows)
-    else:
-        raise ConfigError(shape)
-    # float() above also takes booleans and numeric strings; _parse_real does not
-    if not all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, entries))):
-        raise ConfigError(f"{what} entries must be numbers or [re, im] pairs of numbers")
-    if not np.isfinite(a).all():
-        raise ConfigError(f"{what} entries must be finite")
-    return a.view(complex).reshape(a.shape[:2]) if a.ndim == 3 else a.astype(complex)
 
 
 def _parse_dims(value) -> list[int]:
-    if not isinstance(value, list):
-        raise ConfigError(f"dims must be a list of integers or a {{min, max}} object, got {value!r}")
-    dims = [_parse_int(d, "dims") for d in value]
-    if not dims or not all(MIN_DIM <= d <= MAX_DIM for d in dims):
-        raise ConfigError(
-            f"dims must be one or more dimensions in [{MIN_DIM}, {MAX_DIM}], got {value!r}"
-        )
-    return dims
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"dims must be a non-empty list or a {{min, max}} object, got {value!r}")
+    return [_parse_int(_check_dim, d, "dims entry") for d in value]
 
 
 def _parse_list(config: dict, key: str) -> list:
@@ -136,13 +119,11 @@ def _parse_list(config: dict, key: str) -> list:
 
 
 def _parse_slot(slot, what: str) -> int:
-    """A state slot number: a non-negative integer or its decimal digits (JSON
-    object keys are strings, so the fixed_states key "0" names slot 0)."""
+    """A state slot number, or its decimal digits: JSON object keys are
+    strings, so the fixed_states key "0" names slot 0."""
     if isinstance(slot, str) and slot.isascii() and slot.isdigit():
-        return int(slot)
-    if isinstance(slot, int) and not isinstance(slot, bool) and slot >= 0:
-        return slot
-    raise ConfigError(f"{what} must be slot numbers, got {slot!r}")
+        slot = int(slot)
+    return _read(as_integer, slot, what, 0)
 
 
 def _parse_ur_id(value, what: str) -> str:
@@ -167,11 +148,9 @@ def _parse_extras(extras, what: str, keys) -> dict:
             takes = ", ".join(keys) or "none"
             raise ConfigError(f"{what} has unknown key {key!r} (it takes: {takes})")
     out = dict(extras)
-    for key in _INT_EXTRAS:
+    for key, (reader, *bounds) in _INT_EXTRAS.items():
         if key in out:
-            out[key] = _parse_int(out[key], f"{what} {key!r}", least=None if key == "dim" else 1)
-    if "dim" in out and not MIN_DIM <= out["dim"] <= MAX_DIM:
-        raise ConfigError(f"{what} 'dim' must lie in [{MIN_DIM}, {MAX_DIM}], got {out['dim']!r}")
+            out[key] = _parse_int(reader, out[key], f"{what} {key!r}", *bounds)
     h_choice = out.get("h_choice", H_CHOICES[0])
     if h_choice not in H_CHOICES:
         raise ConfigError(f"{what} 'h_choice' must be one of {H_CHOICES}, got {h_choice!r}")
@@ -194,7 +173,7 @@ def build_observable(spec: dict, dim: int) -> Observable:
         j = spec.get("j")
         if j is None:
             raise ConfigError(f"{builder} needs a 'j' parameter")
-        ops = spin_operators(_parse_real(j, "j"))
+        ops = spin_operators(_read(as_real, j, "j"))
         return ops[("spin_jx", "spin_jy", "spin_jz").index(builder)]
     if builder == "raw_observable":
         return Observable(spec.get("name", "raw"), _parse_matrix(spec.get("matrix"), "matrix"))
@@ -210,12 +189,12 @@ def build_state(spec: dict, dim: int):
     if builder == "squeezed":
         return squeezed_state(
             _parse_complex(spec.get("alpha", 0.0), "alpha"),
-            _parse_real(spec.get("r", 0.0), "r"),
-            _parse_real(spec.get("phi", 0.0), "phi"),
+            _read(as_real, spec.get("r", 0.0), "r"),
+            _read(as_real, spec.get("phi", 0.0), "phi"),
             dim,
         )
     if builder == "fock_n":
-        return fock_state(_parse_int(spec.get("k", 0), "k"), dim)
+        return fock_state(_parse_int(as_integer, spec.get("k", 0), "k", 0), dim)
     if builder == "raw_vector":
         amps = spec.get("amplitudes")
         if not isinstance(amps, list):
@@ -256,23 +235,22 @@ def _resolve_seed(args, config) -> int:
             return int(env)
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV} must be an integer, got {env!r}") from exc
-    return _parse_int(config.get("seed", 0), "seed")
+    seed = config.get("seed", 0)
+    _parse_int(as_seed, seed)
+    return int(seed)  # as given, not mod 2^64: the report echoes it
 
 
 def _resolve_dim(args, config) -> int:
     if args.dim is not None:
-        return args.dim
-    return _parse_int(config.get("hilbert_dim", DEFAULT_DIM), "hilbert_dim")
+        return _read(_check_dim, args.dim, "--dim")
+    return _parse_int(_check_dim, config.get("hilbert_dim", DEFAULT_DIM), "hilbert_dim")
 
 
 def _slack_rtol(config) -> float:
     tol = config.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigError("'tolerances' must be an object")
-    rtol = _parse_real(tol.get("slack_rtol", SLACK_RTOL), "slack_rtol")
-    if rtol < 0:
-        raise ConfigError(f"slack_rtol must be >= 0, got {rtol!r}")
-    return rtol
+    return _read(as_real, tol.get("slack_rtol", SLACK_RTOL), "slack_rtol", 0.0)
 
 
 def _report_row(report: URReport, rtol: float) -> dict:
@@ -308,13 +286,13 @@ def run_check(config: dict, seed: int, dim: int) -> tuple[dict, int]:
 
 def run_scan(config: dict, seed: int, dim: int) -> tuple[dict, int]:
     rtol = _slack_rtol(config)
-    size = _parse_int(config.get("ensemble_size", 100), "ensemble_size", least=1)
+    size = _parse_int(as_integer, config.get("ensemble_size", 100), "ensemble_size", 1)
     dims_cfg = config.get("dims", {"min": 2, "max": 8})
     if isinstance(dims_cfg, dict):
-        lo = _parse_int(dims_cfg.get("min", 2), "dims.min")
-        hi = _parse_int(dims_cfg.get("max", 8), "dims.max")
-        if not MIN_DIM <= lo <= hi <= MAX_DIM:
-            raise ConfigError(f"bad dims {dims_cfg!r}")
+        lo = _parse_int(_check_dim, dims_cfg.get("min", 2), "dims.min")
+        hi = _parse_int(_check_dim, dims_cfg.get("max", 8), "dims.max")
+        if lo > hi:
+            raise ConfigError(f"dims.min exceeds dims.max in {dims_cfg!r}")
         dims = list(range(lo, hi + 1))
     else:
         dims = _parse_dims(dims_cfg)
@@ -370,22 +348,22 @@ def run_minimize(config: dict, seed: int, dim: int) -> tuple[dict, int]:
     if not isinstance(fixed_cfg, dict):
         raise ConfigError("'fixed_states' must be an object mapping slot numbers to states")
     fixed = {
-        _parse_slot(slot, "fixed_states keys"): build_state(spec, dim)
+        _parse_slot(slot, "fixed_states key"): build_state(spec, dim)
         for slot, spec in fixed_cfg.items()
     }
     free = config.get("free_slots")
     if free is not None:
         if not isinstance(free, list):
             raise ConfigError(f"'free_slots' must be a list of slot numbers, got {free!r}")
-        free = [_parse_slot(slot, "free_slots entries") for slot in free]
+        free = [_parse_slot(slot, "free_slots entry") for slot in free]
     result = minimize_slack(
         ur_id,
         observables,
         dim=dim,
         free_slots=free,
         fixed_states=fixed,
-        budget=_parse_int(config.get("budget", 400), "budget", least=1),
-        restarts=_parse_int(config.get("restarts", 8), "restarts", least=1),
+        budget=_parse_int(as_integer, config.get("budget", 400), "budget", 1),
+        restarts=_parse_int(as_integer, config.get("restarts", 8), "restarts", 1),
         seed=seed,
         extras=_parse_extras(config.get("extras") or {}, "extras", SPECS[ur_id].extras),
     )
@@ -403,15 +381,15 @@ def _compare_instances(config: dict, seed: int, dim: int):
     kind = spec["kind"]
     if kind == "coherent_grid":
         return coherent_pair_grid(
-            dim=_parse_int(spec.get("hilbert_dim", dim), "hilbert_dim"),
-            extent=_parse_real(spec.get("extent", 2.0), "extent"),
-            points=_parse_int(spec.get("points", 5), "points"),
+            dim=_parse_int(_check_dim, spec.get("hilbert_dim", dim), "hilbert_dim"),
+            extent=_read(as_real, spec.get("extent", 2.0), "extent"),
+            points=_parse_int(as_integer, spec.get("points", 5), "points", 1),
         )
     if kind == "random":
         ur = _parse_ur_id(spec.get("ur") or config.get("ur_a"), "instances 'ur'")
         dims = _parse_dims(spec.get("dims", [2, 3, 4, 6, 8]))
-        size = _parse_int(spec.get("size", 200), "size")
-        return random_instances(ur, size, dims, _parse_int(spec.get("seed", seed), "seed"))
+        size = _parse_int(as_integer, spec.get("size", 200), "size", 1)
+        return random_instances(ur, size, dims, _parse_int(as_seed, spec.get("seed", seed)))
     raise ConfigError(f"unknown instances kind {kind!r}")
 
 

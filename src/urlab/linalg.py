@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -50,17 +51,28 @@ def slack_tolerance(lhs: float, rhs: float) -> float:
 def as_numbers(a, name: str) -> np.ndarray:
     """The package's one reader of numeric arrays: ``a`` as a C-contiguous complex
     ndarray (no copy if it is one) of finite integer, unsigned, float or complex
-    entries. Bool, string, object or ragged input, NaN and infinity are refused."""
+    entries. Bool, string, object or ragged input, NaN and infinity are refused.
+    A list or tuple is read leaf by leaf, as numpy reads [True, 1.5] as floats:
+    Python or numpy numbers, not bools, integers beyond int64 included."""
     try:
-        a = np.asarray(a)
+        arr = np.asarray(a)
     except ValueError:  # ragged nesting
         raise InputError(f"{name} must be an array of numbers") from None
-    if a.dtype.kind not in "iufc":
+    if isinstance(a, (list, tuple)):
+        leaves = a
+        for _ in range(arr.ndim - 1):
+            leaves = chain.from_iterable(leaves)
+        if not all(issubclass(t, _NUMBERS) and t is not bool for t in set(map(type, leaves))):
+            raise InputError(f"{name} must be an array of numbers")
+    elif arr.dtype.kind not in "iufc":
         raise InputError(f"{name} must be an array of numbers")
-    a = np.asarray(a, dtype=complex, order="C")
-    if not np.isfinite(a.ravel().view(float)).all():  # the float view: cheaper than on complex
+    try:
+        arr = np.asarray(arr, dtype=complex, order="C")
+    except OverflowError:  # an integer beyond the float range
+        raise InputError(f"{name} contains non-finite entries") from None
+    if not np.isfinite(arr.ravel().view(float)).all():  # the float view: cheaper than on complex
         raise InputError(f"{name} contains non-finite entries")
-    return a
+    return arr
 
 
 def as_integer(value, name: str, lo: int, hi: int = sys.maxsize) -> int:

@@ -45,8 +45,8 @@ _SAMPLE_KINDS = ("pure", "density", "hermitian", "psd")
 BUILDER_CACHE_SIZE = 4
 
 
-def _check_dim(n: int) -> int:
-    return as_integer(n, "Hilbert dimension", MIN_DIM, MAX_DIM)
+def _check_dim(n: int, name: str = "Hilbert dimension") -> int:
+    return as_integer(n, name, MIN_DIM, MAX_DIM)
 
 
 def squeezed_tail_tol(n: int) -> float:

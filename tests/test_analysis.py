@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from urlab import analysis
 from urlab.analysis import (
     ALPHA_BOX,
     compare_precision,
@@ -464,6 +465,48 @@ def test_minimize_respects_fixed_slots():
     )
     assert len(res.slots) == 1
     assert res.slack < 1e-6
+
+
+def test_minimize_draws_each_start_when_its_descent_begins(monkeypatch):
+    # a count of restarts far beyond memory draws only the starts that
+    # descend, bit for bit the rows of one block draw of them all
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def descent(objective, x0, budget, project):
+        seen.append(x0)
+        if len(seen) == 3:
+            raise Stop
+        return x0, math.inf, 0, 0, False
+
+    monkeypatch.setattr(analysis, "nelder_mead", descent)
+    with pytest.raises(Stop):
+        minimize_slack("entangled_heisenberg", fock_operators(16), 16, restarts=2**40, seed=3)
+    r_max = min(1.0, _squeeze_edge(16, 0.0))
+    reach = math.hypot(0.6, 0.6)
+    a_max = min(ALPHA_BOX, _displacement_edge(16, 0.7 * r_max, reach * ALPHA_BOX) / reach)
+    block = np.random.default_rng(3).uniform(
+        [-0.6, -0.6, -0.7, 0], [0.6, 0.6, 0.7, 2 * np.pi], size=(2, 2, 4)
+    )
+    want = [np.zeros(8), *(block * [a_max, a_max, r_max, 1.0]).reshape(-1, 8)]
+    assert [x.tobytes() for x in seen] == [x.tobytes() for x in want]
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"free_slots": 5}, "free_slots must be a sequence of slot numbers, got 5"),
+        ({"free_slots": {1}}, "free_slots must be a sequence of slot numbers, got {1}"),
+        ({"fixed_states": [1]}, "fixed_states must be a mapping, got [1]"),
+        ({"extras": [("r", 1)]}, "extras must be a mapping, got [('r', 1)]"),
+    ],
+)
+def test_minimize_reads_its_containers(kwargs, message):
+    with pytest.raises(InputError) as info:
+        minimize_slack("extended_schrodinger", fock_operators(16), 16, budget=5, **kwargs)
+    assert str(info.value) == message
 
 
 # (slack, iterations, evaluations, gradients, converged) of one descent per

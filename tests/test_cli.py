@@ -555,6 +555,7 @@ NUMERIC_FIELDS = {
     "budget": ("minimize", MINIMIZE_TINY, ("budget",), True),
     "restarts": ("minimize", MINIMIZE_TINY, ("restarts",), True),
     "points": ("compare", COMPARE_GRID, ("instances", "points"), True),
+    "instances_hilbert_dim": ("compare", COMPARE_GRID, ("instances", "hilbert_dim"), True),
     "extent": ("compare", COMPARE_GRID, ("instances", "extent"), False),
     "size": ("compare", COMPARE_RANDOM, ("instances", "size"), True),
     "instances_dims": ("compare", COMPARE_RANDOM, ("instances", "dims", 0), True),
@@ -575,7 +576,11 @@ def with_path(config, path, value):
 def test_non_numeric_config_field_exit2(tmp_path, field):
     command, config, path, integer = NUMERIC_FIELDS[field]
     assert run(tmp_path, command, config)[0] == 0
-    bad_values = ["x", True, None, [1], float("nan"), 10**400] + ([2.5] if integer else [])
+    bad_values = ["x", True, None, [1], float("nan")] + ([2.5] if integer else [])
+    # a seed is any integer, read mod 2^64 as `linalg.as_seed` reads it; no
+    # other field takes a number beyond the float range
+    seed = path[-1] == "seed"
+    assert run(tmp_path, command, with_path(config, path, 10**400))[0] == (0 if seed else 2)
     for bad in bad_values:
         code, _ = run(tmp_path, command, with_path(config, path, bad))
         assert code == 2, (field, bad)
@@ -615,6 +620,9 @@ EXTRA_FIELDS = {
         ("urs", 0, "h_choice"),
     ),
     "pinned_dim": ("scan", dict(SCAN_TINY, pinned={"dim": 3}), ("pinned", "dim")),
+    "scan_entry_dim": (
+        "scan", dict(SCAN_TINY, urs=[{"id": "robertson", "dim": 3}]), ("urs", 0, "dim")
+    ),
     "pinned_n": ("scan", dict(SCAN_TINY, urs=["robertson"], pinned={"n": 3}), ("pinned", "n")),
     "pinned_n_characteristic": (
         "scan", dict(SCAN_TINY, urs=["characteristic"], pinned={"n": 3}), ("pinned", "n")
@@ -711,6 +719,53 @@ def test_malformed_extra_or_pin_exit2(tmp_path, field):
     for bad in bad_values:
         code, _ = run(tmp_path, command, with_path(config, path, bad))
         assert code == 2, (field, bad)
+
+
+# the dimension fields and the count fields of NUMERIC_FIELDS and
+# EXTRA_FIELDS, `hilbert_dim` of with_field, and the --dim flag
+DIM_FIELDS = (
+    "hilbert_dim", "--dim", "dims_list", "dims_min", "dims_max", "instances_hilbert_dim",
+    "instances_dims", "pinned_dim", "scan_entry_dim",
+)
+COUNT_FIELDS = (
+    "ensemble_size", "budget", "restarts", "points", "size", "pinned_n", "pinned_m", "pinned_r",
+    "scan_entry_n", "check_r", "minimize_r", "compare_r",
+)
+
+
+def with_range_field(field, value):
+    """(command, config, extra arguments) with the dimension or count ``field`` set to value."""
+    if field == "--dim":
+        return "check", SQUEEZED_CHECK, ("--dim", str(value))
+    if field == "hilbert_dim":
+        return "check", with_field(field, value), ()
+    command, config, path = (NUMERIC_FIELDS.get(field) or EXTRA_FIELDS[field])[:3]
+    return command, with_path(config, path, value), ()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(f, v) for f in DIM_FIELDS for v in (1, 513, 1000)] + [(f, 0) for f in COUNT_FIELDS],
+)
+def test_a_value_outside_its_readers_range_exits_2(tmp_path, capsys, field, value):
+    # the library's reader (model._check_dim, linalg.as_integer) states the
+    # range, and the command line refuses what it refuses as a config error
+    command, config, argv = with_range_field(field, value)
+    assert run(tmp_path, command, config, *argv)[0] == 2
+    low, high = (2, 512) if field in DIM_FIELDS else (1, sys.maxsize)
+    assert f"must be an integer in {low}..{high}, got {value}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("check", with_field("k", SQUEEZED_CHECK["hilbert_dim"])),  # a Fock level = the dim
+        ("check", dict(CHECK_VACUUM, urs=[{"id": "characteristic", "r": 3}])),  # r > n = 2
+        ("minimize", dict(MINIMIZE_TINY, fixed_states={"2": {"builder": "fock_n", "k": 0}})),
+    ],
+)
+def test_a_value_refused_against_another_input_exits_3(tmp_path, command, config):
+    assert run(tmp_path, command, config)[0] == 3
 
 
 def test_pinned_must_be_an_object(tmp_path):
@@ -919,7 +974,7 @@ def test_config_fuzz_exit_codes(tmp_path, capsys):
     } <= reached
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64 - 1, 2**63 + 1])
+@pytest.mark.parametrize("seed", [-1, 2**64 - 1, 2**63 + 1, pytest.param(10**400, id="10**400")])
 def test_minimize_takes_any_integer_seed(tmp_path, seed):
     # the library reads a seed mod 2^64, as scan and compare do; the report
     # echoes the seed as given, with no rounding through a float

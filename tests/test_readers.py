@@ -1,6 +1,6 @@
-"""The package's scalar readers (`linalg.as_real`, `as_complex`, `as_integer`,
-`as_seed`) and every public entry that reads a real, complex number, count,
-slot or seed through them, before any cache."""
+"""The package's readers (`linalg.as_numbers`, `as_real`, `as_complex`,
+`as_integer`, `as_seed`) and every public entry that reads an array, real,
+complex number, count, slot or seed through them, before any cache."""
 
 import math
 import re
@@ -13,12 +13,15 @@ import pytest
 from urlab.analysis import gaussian_pair_ensemble, minimize_slack, saturation_transfer_audit
 from urlab.ensembles import coherent_pair_grid, random_instances, scan_report, stream_rng
 from urlab.errors import InputError
-from urlab.linalg import as_complex, as_integer, as_real, as_seed
+from urlab.linalg import as_complex, as_integer, as_numbers, as_real, as_seed
 from urlab.model import (
+    Observable,
+    PureState,
     coherent_state,
     fock_operators,
     quad_mix,
     quad_plus,
+    raw_vector_state,
     sample,
     spin_operators,
     squeezed_state,
@@ -172,3 +175,30 @@ def test_a_negative_seed_minimizes_as_its_64_bit_twin():
     a = _heisenberg_minimum(restarts=3, seed=-1)
     b = _heisenberg_minimum(restarts=3, seed=2**64 - 1)
     assert a == b
+
+
+# numpy reads [True, 1.5] as a float array, so the bool hides from the dtype
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: PureState([True, 0.0]),
+        lambda: raw_vector_state([True, 1.5]),
+        lambda: raw_vector_state((np.True_, 1.5)),
+        lambda: Observable("x", [[1.0, True], [True, 1.0]]),
+        lambda: Observable("x", [np.array([1.0, 0.0]), [0.0, np.True_]]),
+        lambda: as_numbers([[[1.0, False]], [[0.5, 0.0]]], "pairs"),
+    ],
+)
+def test_as_numbers_refuses_a_bool_among_numbers(call):
+    with pytest.raises(InputError, match="must be an array of numbers$"):
+        call()
+
+
+def test_as_numbers_reads_python_integers_as_numbers():
+    # an integer beyond int64 makes numpy's array an object array; its leaves
+    # are numbers, read as complex() reads them, unless beyond the float range
+    assert as_numbers([2**70, 1.5], "x").tolist() == [complex(2**70), 1.5]
+    with pytest.raises(InputError, match="^x contains non-finite entries$"):
+        as_numbers([10**400, 1.5], "x")
+    c = np.eye(2, dtype=complex)
+    assert as_numbers(c, "x") is c
