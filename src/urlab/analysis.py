@@ -11,10 +11,11 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .catalog import UR_SPECS, _pairwise_extended_sides, _schrodinger_sides, evaluate_ur, type_1_2
-from .catalog import _admit, _cross_vector, slack_derivatives
+from .catalog import SPECS, UR_SPECS, _pairwise_extended_sides, _schrodinger_sides, evaluate_ur
+from .catalog import _admit, _admit_keys, _cross_vector, slack_derivatives, type_1_2
 from .errors import InputError, TruncationError
-from .linalg import as_integer, as_numbers, as_real, as_seed, slack_scale, slack_tolerance
+from .linalg import as_choice, as_integer, as_numbers, as_real, as_seed, slack_scale
+from .linalg import slack_tolerance
 from .model import Observable, PureState, fock_operators, squeezed_state
 from .model import _check_dim, _displacement_edge, _squeeze_edge, _squeezed_tangents
 from .moments import moment_set
@@ -182,9 +183,7 @@ def minimize_slack(
     convergence verdict; `evaluations` (1 per value, 2n per gradient),
     `gradients` and `truncation_rejects` count over all.
     """
-    spec = UR_SPECS.get(ur_id)
-    if spec is None:
-        raise InputError(f"unknown UR id {ur_id!r}")
+    spec = UR_SPECS[as_choice(ur_id, "minimize check id", UR_SPECS)]
     dim, seed = _check_dim(dim), as_seed(seed)
     budget, restarts = as_integer(budget, "budget", 1), as_integer(restarts, "restarts", 1)
     fixed_states = {} if fixed_states is None else fixed_states
@@ -192,6 +191,7 @@ def minimize_slack(
     for name, value in (("fixed_states", fixed_states), ("extras", extras)):
         if not isinstance(value, Mapping):
             raise InputError(f"{name} must be a mapping, got {value!r}")
+    _admit_keys(spec, extras)
     if free_slots is not None and not isinstance(free_slots, (list, tuple, range, np.ndarray)):
         raise InputError(f"free_slots must be a sequence of slot numbers, got {free_slots!r}")
     n_slots = spec.n_states if spec.n_states >= 0 else len(fixed_states) + len(free_slots or [1])
@@ -237,11 +237,10 @@ def minimize_slack(
             states[slot] = squeezed_state(par.alpha, par.r, par.phi, dim)
         return states
 
-    calls = rejects = gradients = 0
+    rejects = gradients = 0
 
     def objective(x: np.ndarray):
-        nonlocal calls, rejects
-        calls += 1
+        nonlocal rejects
         params = slot_params(x)
         try:
             states = build_states(params)
@@ -262,9 +261,10 @@ def minimize_slack(
     box = ([-0.6, -0.6, -0.7, 0], [0.6, 0.6, 0.7, 2 * np.pi], (len(free_slots), 4))
     seeded = ((rng.uniform(*b) * [a_max, a_max, r_max, 1.0]).ravel() for b in repeat(box))
 
-    best = None
+    best, evaluations = None, 0
     for x0 in islice(chain(starts, seeded), restarts):  # a seeded start is drawn as it descends
-        xb, fb, iters, _, conv = nelder_mead(objective, x0, budget=budget, project=project)
+        xb, fb, iters, evals, conv = nelder_mead(objective, x0, budget=budget, project=project)
+        evaluations += evals
         if best is None or fb < best[1]:
             best = (xb, fb, iters, conv)
     xb, _, iters, conv = best
@@ -274,7 +274,7 @@ def minimize_slack(
         slack=report.slack,
         tol=report.tol,
         iterations=iters,
-        evaluations=calls + 2 * n_par * gradients,
+        evaluations=evaluations,
         gradients=gradients,
         converged=conv,
         truncation_rejects=rejects,
@@ -335,8 +335,9 @@ def compare_precision(
 ) -> PrecisionStats:
     """Evaluate two checks on each (label, observables, states) instance and
     record which is closer to saturation, raw and relative."""
-    extras_a = dict(extras_a or {})
-    extras_b = dict(extras_b or {})
+    extras_a, extras_b = dict(extras_a or {}), dict(extras_b or {})
+    for ur_id, extras in ((ur_a, extras_a), (ur_b, extras_b)):
+        _admit_keys(SPECS[as_choice(ur_id, "UR id", SPECS)], extras)
     n_raw_a = n_rel_a = 0.0
     ties = 0
     ex_a = ex_b = None

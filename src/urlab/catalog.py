@@ -388,8 +388,7 @@ def type_2_2(
 
 def _cross_state_pair(family: str, observables, psi1, psi2, variant: str) -> URReport:
     """Body of the (1,2) and (2,2) checks: X is the first observable, Y the last."""
-    if variant not in ("a", "b"):
-        raise InputError(f"variant must be 'a' or 'b', got {variant!r}")
+    variant = linalg.as_choice(variant, "variant", VARIANTS)
     return _check(family + variant, observables, (psi1, psi2))
 
 
@@ -444,8 +443,7 @@ def char_gap_check(matrices, r: int, flavor: str) -> URReport:
     flavor "superadditive": C_r(sum) >= sum of C_r. At m = 1 the entangled
     flavor recovers the single-state characteristic check.
     """
-    if flavor not in ("entangled", "superadditive"):
-        raise InputError(f"flavor must be 'entangled' or 'superadditive', got {flavor!r}")
+    flavor = linalg.as_choice(flavor, "flavor", FLAVORS)
     for i, g in enumerate(matrices):
         if not isinstance(g, GramUR):
             raise InputError(f"entry {i} is not a GramUR")
@@ -499,18 +497,22 @@ def _admit(spec: URSpec, observables, states, extras) -> None:
             raise InputError(f"{spec.ur_id} takes {want} {what}, got {got}")
         if want <= 0 and got < 1 - want:
             raise InputError(f"{spec.ur_id} takes at least {1 - want} {what}")
-    for key in extras:
-        if key not in spec.extras:
-            takes = ", ".join(spec.extras) or "none"
-            raise InputError(f"{spec.ur_id} takes no extra {key!r} (its extras: {takes})")
+    _admit_keys(spec, extras)
     linalg.as_integer(extras.get("r", 1), "order r", 1, len(observables))
-    h_choice = extras.get("h_choice", "robertson")
-    if h_choice not in H_CHOICES:
-        raise InputError(f"h_choice must be one of {H_CHOICES}, got {h_choice!r}")
+    h_choice = linalg.as_choice(extras.get("h_choice", "robertson"), "h_choice", H_CHOICES)
     if spec.pure_only or h_choice != "robertson":
         for i, s in enumerate(states):
             if not isinstance(s, PureState):
                 raise InputError(f"state {i} must be pure for this check")
+
+
+def _admit_keys(spec: URSpec, extras) -> None:
+    """Raise InputError unless every key of the mapping ``extras`` is an extra
+    the check takes; a caller that expands ``**extras`` admits its keys first."""
+    for key in extras:
+        if key not in spec.extras:
+            takes = ", ".join(spec.extras) or "none"
+            raise InputError(f"{spec.ur_id} takes no extra {key!r} (its extras: {takes})")
 
 
 UR_SPECS = {
@@ -562,9 +564,12 @@ UR_SPECS = {
     ),
 }
 
+# the (1,2)/(2,2) variants, "a" centred and "b" raw
+VARIANTS = ("a", "b")
 # The characteristic gaps build one psd matrix per state before checking, so
 # they take at least one observable and one state; UR_SPECS lists the others.
-CHAR_GAP_IDS = ("char_gap_entangled", "char_gap_superadditive")
+FLAVORS = ("entangled", "superadditive")
+CHAR_GAP_IDS = tuple(f"char_gap_{flavor}" for flavor in FLAVORS)
 # the per-state matrices a characteristic gap can build
 H_CHOICES = ("robertson", "centered", "raw")
 
@@ -598,9 +603,7 @@ def evaluate_ur(ur_id: str, observables, states, **extras) -> URReport:
     r (characteristic and the characteristic gaps), h_choice (the
     characteristic gaps). The call is admitted (`_admit`) before it dispatches.
     """
-    spec = SPECS.get(ur_id)
-    if spec is None:
-        raise InputError(f"unknown UR id {ur_id!r}")
+    spec = SPECS[linalg.as_choice(ur_id, "UR id", SPECS)]
     observables = tuple(observables)
     states = tuple(states)
     _admit(spec, observables, states, extras)
@@ -613,7 +616,6 @@ def char_gap_from_states(
     """The characteristic gap ``ur_kind`` over per-state matrices of one of the
     physical choices ``h_choice`` ("robertson", "centered" or "raw"), at order
     r (default n), evaluated through `evaluate_ur`."""
-    if ur_kind not in CHAR_GAP_IDS:
-        raise InputError(f"unknown characteristic-gap kind {ur_kind!r}")
+    linalg.as_choice(ur_kind, "characteristic-gap kind", CHAR_GAP_IDS)
     extras = {"h_choice": h_choice} if r is None else {"r": r, "h_choice": h_choice}
     return evaluate_ur(ur_kind, observables, states, **extras)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import compare_precision, minimize_slack, divergence
-from .catalog import H_CHOICES, SPECS, URReport, evaluate_ur
+from .catalog import H_CHOICES, SPECS, VARIANTS, URReport, evaluate_ur
 from .ensembles import (
     DEFAULT_SCAN_URS,
     coherent_pair_grid,
@@ -29,7 +29,8 @@ from .ensembles import (
     stream_rng,
 )
 from .errors import ConfigError, InputError, NumericError
-from .linalg import SLACK_RTOL, as_complex, as_integer, as_numbers, as_real, as_seed, slack_scale
+from .linalg import SLACK_RTOL, as_choice, as_complex, as_integer, as_numbers, as_real, as_seed
+from .linalg import slack_scale
 from .model import (
     Observable,
     _check_dim,
@@ -126,18 +127,14 @@ def _parse_slot(slot, what: str) -> int:
     return _read(as_integer, slot, what, 0)
 
 
-def _parse_ur_id(value, what: str) -> str:
+def _parse_ur_id(value) -> str:
     """A check id of SPECS; every command parses its check ids here."""
-    if not isinstance(value, str):
-        raise ConfigError(f"{what} must be a check id string, got {value!r}")
-    if value not in SPECS:
-        raise ConfigError(f"unknown UR id {value!r}")
-    return value
+    return _read(as_choice, value, "UR id", SPECS)
 
 
 def _parse_extras(extras, what: str, keys) -> dict:
     """Check extras or scan pins: every key one of ``keys``, integer fields
-    parsed, `h_choice` one of H_CHOICES.
+    parsed, `h_choice` read as one of H_CHOICES.
 
     Every command that forwards extras to a check parses them here.
     """
@@ -151,9 +148,8 @@ def _parse_extras(extras, what: str, keys) -> dict:
     for key, (reader, *bounds) in _INT_EXTRAS.items():
         if key in out:
             out[key] = _parse_int(reader, out[key], f"{what} {key!r}", *bounds)
-    h_choice = out.get("h_choice", H_CHOICES[0])
-    if h_choice not in H_CHOICES:
-        raise ConfigError(f"{what} 'h_choice' must be one of {H_CHOICES}, got {h_choice!r}")
+    if "h_choice" in out:
+        _read(as_choice, out["h_choice"], f"{what} 'h_choice'", H_CHOICES)
     return out
 
 
@@ -216,9 +212,9 @@ def _ur_entries(config, pins: tuple[str, ...] = ()) -> list[tuple[str, dict]]:
     out = []
     for entry in urs:
         if isinstance(entry, str):
-            ur_id, extras = _parse_ur_id(entry, "a UR entry"), {}
+            ur_id, extras = _parse_ur_id(entry), {}
         elif isinstance(entry, dict) and "id" in entry:
-            ur_id = _parse_ur_id(entry["id"], "a UR entry's 'id'")
+            ur_id = _parse_ur_id(entry["id"])
             extras = {k: v for k, v in entry.items() if k != "id"}
         else:
             raise ConfigError(f"bad UR entry {entry!r}")
@@ -340,7 +336,7 @@ def run_scan(config: dict, seed: int, dim: int) -> tuple[dict, int]:
 
 
 def run_minimize(config: dict, seed: int, dim: int) -> tuple[dict, int]:
-    ur_id = _parse_ur_id(config.get("ur"), "minimize's 'ur'")
+    ur_id = _parse_ur_id(config.get("ur"))
     observables = [build_observable(s, dim) for s in _parse_list(config, "observables")]
     if not observables:
         raise ConfigError("minimize needs 'observables'")
@@ -386,7 +382,7 @@ def _compare_instances(config: dict, seed: int, dim: int):
             points=_parse_int(as_integer, spec.get("points", 5), "points", 1),
         )
     if kind == "random":
-        ur = _parse_ur_id(spec.get("ur") or config.get("ur_a"), "instances 'ur'")
+        ur = _parse_ur_id(spec.get("ur", config.get("ur_a")))
         dims = _parse_dims(spec.get("dims", [2, 3, 4, 6, 8]))
         size = _parse_int(as_integer, spec.get("size", 200), "size", 1)
         return random_instances(ur, size, dims, _parse_int(as_seed, spec.get("seed", seed)))
@@ -394,10 +390,7 @@ def _compare_instances(config: dict, seed: int, dim: int):
 
 
 def run_compare(config: dict, seed: int, dim: int) -> tuple[dict, int]:
-    ur_a, ur_b = config.get("ur_a"), config.get("ur_b")
-    if not ur_a or not ur_b:
-        raise ConfigError("compare needs 'ur_a' and 'ur_b'")
-    ur_a, ur_b = _parse_ur_id(ur_a, "'ur_a'"), _parse_ur_id(ur_b, "'ur_b'")
+    ur_a, ur_b = _parse_ur_id(config.get("ur_a")), _parse_ur_id(config.get("ur_b"))
     stats = compare_precision(
         ur_a,
         ur_b,
@@ -419,9 +412,7 @@ def run_divergence(config: dict, seed: int, dim: int) -> tuple[dict, int]:
     x = build_observable(obs, dim)
     s1 = build_state(sa, dim)
     s2 = build_state(sb, dim)
-    variant = config.get("variant", "a")
-    if variant not in ("a", "b"):
-        raise ConfigError(f"divergence 'variant' must be 'a' or 'b', got {variant!r}")
+    variant = _read(as_choice, config.get("variant", "a"), "divergence variant", VARIANTS)
     d_ab = divergence(x, s1, s2, variant)
     d_ba = divergence(x, s2, s1, variant)
     row = {"variant": variant, "d_ab": d_ab, "d_ba": d_ba}

@@ -11,9 +11,9 @@ import sys
 
 import numpy as np
 
-from .catalog import CHAR_GAP_IDS, H_CHOICES, UR_SPECS, URReport, evaluate_ur
+from .catalog import CHAR_GAP_IDS, H_CHOICES, SPECS, UR_SPECS, URReport, evaluate_ur
 from .errors import InputError
-from .linalg import as_integer, as_real, as_seed
+from .linalg import as_choice, as_integer, as_real, as_seed
 from .model import _check_dim, coherent_state, fock_operators, rand_density, rand_observable
 from .model import rand_pure
 
@@ -34,8 +34,7 @@ DEFAULT_SCAN_URS = (
     "entangled_heisenberg",
     "type_3_1",
     "type_2_m",
-    "char_gap_entangled",
-    "char_gap_superadditive",
+    *CHAR_GAP_IDS,
 )
 
 
@@ -62,20 +61,19 @@ def _draw(ur_id: str, rng: np.random.Generator, dims: list, pinned: dict):
     """One random admissible instance of the named check, as (dim, observables,
     states, extras). A pinned dim, n, m or r still consumes its draw (a pinned
     h_choice does not): seeded reports and digests depend on this order."""
+    spec = SPECS[as_choice(ur_id, "UR id", SPECS)]
     if not dims:
         raise InputError("dims must hold at least one Hilbert dimension")
     dim = _check_dim(pinned.get("dim", dims[rng.integers(len(dims))]))
     extras = {}
-    if ur_id in CHAR_GAP_IDS:
+    if "h_choice" in spec.extras:  # the characteristic gaps
         n_obs = _count(pinned, "n", rng.integers(2, 4))
         n_states = _count(pinned, "m", rng.integers(1, 4))
         extras["r"] = _count(pinned, "r", rng.integers(1, n_obs + 1), n_obs)
-        extras["h_choice"] = pinned.get("h_choice") or H_CHOICES[rng.integers(3)]
+        h_choice = pinned["h_choice"] if "h_choice" in pinned else H_CHOICES[rng.integers(3)]
+        extras["h_choice"] = as_choice(h_choice, "pinned 'h_choice'", H_CHOICES)
         allow_mixed = extras["h_choice"] == "robertson"
     else:
-        spec = UR_SPECS.get(ur_id)
-        if spec is None:
-            raise InputError(f"unknown UR id {ur_id!r}")
         n_obs, n_states = spec.n_observables, spec.n_states
         if n_obs < 0:
             n_obs = _count(pinned, "n", rng.integers(2, 5))
@@ -99,8 +97,7 @@ def scan_report(ur_id: str, rng: np.random.Generator, dims, pinned=None) -> URRe
 def random_instances(ur_id: str, size: int, dims, seed: int):
     """Labeled (observables, states) draws shaped for the named check,
     reusable across checks with the same signature."""
-    if ur_id not in UR_SPECS:
-        raise InputError(f"no generic instance generator for {ur_id!r}")
+    as_choice(ur_id, "non-gap UR id", UR_SPECS)
     size = as_integer(size, "size", 1)
     rng = stream_rng(seed, f"instances:{ur_id}")
     dims = list(dims)

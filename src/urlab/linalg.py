@@ -124,6 +124,15 @@ def as_complex(value, name: str) -> complex:
     raise InputError(f"{name} must be a finite complex number, got {value!r}")
 
 
+def as_choice(value, name: str, choices) -> str:
+    """The package's one reader of enumerated arguments (check ids, variants,
+    flavors, h_choice, sample kinds): a str among ``choices``, as it is; the
+    str test comes first, so no list, dict or array is hashed or compared."""
+    if isinstance(value, str) and value in choices:
+        return value
+    raise InputError(f"unknown {name} {value!r}; expected one of: {', '.join(choices)}")
+
+
 def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
     """`as_numbers`, for a square matrix."""
     a = as_numbers(m, name)

@@ -18,8 +18,8 @@ from functools import cached_property, lru_cache, wraps
 import numpy as np
 
 from .errors import InputError, TruncationError
-from .linalg import as_complex, as_integer, as_numbers, as_real, as_seed, as_square_matrix
-from .linalg import psd_certified, require_hermitian
+from .linalg import as_choice, as_complex, as_integer, as_numbers, as_real, as_seed
+from .linalg import as_square_matrix, psd_certified, require_hermitian
 
 MIN_DIM = 2
 MAX_DIM = 512
@@ -609,8 +609,7 @@ def sample(kind: str, dim: int, seed: int):
     The output is a pure function of (kind, dim, seed): identical arguments
     reproduce identical values bit for bit. The matrices are writable arrays.
     """
-    if kind not in _SAMPLE_KINDS:
-        raise InputError(f"unknown sample kind {kind!r}; expected one of {_SAMPLE_KINDS}")
+    kind = as_choice(kind, "sample kind", _SAMPLE_KINDS)
     dim, seed = _check_dim(dim), as_seed(seed)
     rng = np.random.default_rng(seed)
     if kind == "pure":

@@ -700,6 +700,42 @@ def test_unknown_check_id_exit2(tmp_path, capsys, command):
         assert "unknown UR id 'heisenbrg'" in capsys.readouterr().err
 
 
+DIVERGENCE_TINY = {
+    "observable": {"builder": "fock_q"},
+    "state_a": {"builder": "fock_n", "k": 0},
+    "state_b": {"builder": "coherent", "alpha": [0.5, 0.0]},
+    "hilbert_dim": 16,
+}
+
+# enumerated value -> (command, valid config, path to the value, its name)
+CHOICE_FIELDS = {
+    "id": ("compare", COMPARE_RANDOM, ("ur_a",), "UR id"),
+    "instances_ur": (
+        "compare",
+        dict(COMPARE_RANDOM, instances=dict(COMPARE_RANDOM["instances"], ur="type_1_2a")),
+        ("instances", "ur"),
+        "UR id",
+    ),
+    "h_choice": (
+        "check",
+        dict(CHECK_VACUUM, urs=[{"id": "char_gap_entangled", "h_choice": "raw"}]),
+        ("urs", 0, "h_choice"),
+        "'char_gap_entangled' entry 'h_choice'",
+    ),
+    "variant": ("divergence", dict(DIVERGENCE_TINY, variant="b"), ("variant",),
+                "divergence variant"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(CHOICE_FIELDS))
+@pytest.mark.parametrize("bad", [["x"], {"a": 1}, None, "", "bogus"], ids=repr)
+def test_malformed_enumerated_value_exit2(tmp_path, capsys, field, bad):
+    command, config, path, name = CHOICE_FIELDS[field]
+    assert run(tmp_path, command, config)[0] == 0
+    assert run(tmp_path, command, with_path(config, path, bad))[0] == 2
+    assert capsys.readouterr().err.startswith(f"config error: unknown {name} {bad!r}; expected")
+
+
 def test_a_gap_id_where_no_gap_is_taken_exit3(tmp_path):
     # a gap id is a real id: minimize and compare's random instances refuse it
     # as an input, not as a config error

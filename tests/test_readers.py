@@ -1,6 +1,7 @@
 """The package's readers (`linalg.as_numbers`, `as_real`, `as_complex`,
-`as_integer`, `as_seed`) and every public entry that reads an array, real,
-complex number, count, slot or seed through them, before any cache."""
+`as_integer`, `as_seed`, `as_choice`) and every public entry that reads an
+array, real, complex number, count, slot, seed or enumerated value (a check
+id, variant, flavor, h_choice or sample kind) through them, before any cache."""
 
 import math
 import re
@@ -10,10 +11,13 @@ import warnings
 import numpy as np
 import pytest
 
-from urlab.analysis import gaussian_pair_ensemble, minimize_slack, saturation_transfer_audit
+from urlab.analysis import compare_precision, divergence, gaussian_pair_ensemble, minimize_slack
+from urlab.analysis import saturation_transfer_audit
+from urlab.catalog import char_gap_check, char_gap_from_states, evaluate_ur, type_1_2, type_2_2
 from urlab.ensembles import coherent_pair_grid, random_instances, scan_report, stream_rng
 from urlab.errors import InputError
-from urlab.linalg import as_complex, as_integer, as_numbers, as_real, as_seed
+from urlab.linalg import as_choice, as_complex, as_integer, as_numbers, as_real, as_seed
+from urlab.moments import robertson_matrix
 from urlab.model import (
     Observable,
     PureState,
@@ -202,3 +206,73 @@ def test_as_numbers_reads_python_integers_as_numbers():
         as_numbers([10**400, 1.5], "x")
     c = np.eye(2, dtype=complex)
     assert as_numbers(c, "x") is c
+
+
+# ---------------------------------------------------------------------------
+# enumerated arguments
+
+_Q, _P = fock_operators(16)
+_PSI, _PHI = coherent_state(0.3, 16), coherent_state(-0.2j, 16)
+
+
+def _pair_stats(ur_a):
+    return compare_precision(ur_a, "heisenberg", [("i", (_Q, _P), (_PSI,))])
+
+
+# (entry, the argument's name in the error, a valid value, a wrong string, the
+# call); a wrong string for minimize and the random instances is a real id
+# they do not take, a characteristic gap
+CHOICE_ENTRIES = [
+    ("evaluate_ur", "UR id", "heisenberg", "heisenbrg",
+     lambda v: evaluate_ur(v, (_Q, _P), (_PSI,))),
+    ("evaluate_ur", "h_choice", "raw", "Raw",
+     lambda v: evaluate_ur("char_gap_entangled", (_Q, _P), (_PSI,), h_choice=v)),
+    ("type_1_2", "variant", "a", "c", lambda v: type_1_2(_Q, _PSI, _PHI, v)),
+    ("type_2_2", "variant", "b", "A", lambda v: type_2_2(_Q, _P, _PSI, _PHI, v)),
+    ("divergence", "variant", "a", "ab", lambda v: divergence(_Q, _PSI, _PHI, v)),
+    ("char_gap_check", "flavor", "entangled", "multiplicative",
+     lambda v: char_gap_check([robertson_matrix((_Q, _P), _PSI)], 1, v)),
+    ("char_gap_from_states", "characteristic-gap kind", "char_gap_superadditive",
+     "heisenberg", lambda v: char_gap_from_states(v, (_Q, _P), (_PSI,))),
+    ("minimize_slack", "minimize check id", "heisenberg", "char_gap_entangled",
+     lambda v: minimize_slack(v, fock_operators(16), 16, budget=5, restarts=1)),
+    ("compare_precision", "UR id", "schrodinger", "schroedinger", _pair_stats),
+    ("scan_report", "UR id", "char_gap_entangled", "char_gap", lambda v: _scan(v)),
+    ("scan_report", "pinned 'h_choice'", "centered", "gram", lambda v: _scan(h_choice=v)),
+    ("random_instances", "non-gap UR id", "robertson", "char_gap_superadditive",
+     lambda v: random_instances(v, 2, [2], 0)),
+    ("sample", "sample kind", "psd", "thermal", lambda v: sample(v, 4, 0)),
+]
+
+CHOICE_CASES = [
+    pytest.param(call, name, valid, bad, id=f"{entry}-{name}-{label}")
+    for entry, name, valid, wrong, call in CHOICE_ENTRIES
+    for label, bad in [("list", ["x"]), ("dict", {"a": 1}), ("array", np.array([valid, valid])),
+                       ("None", None), ("wrong", wrong)]
+]
+
+
+@pytest.mark.parametrize("call,name,valid,bad", CHOICE_CASES)
+def test_each_entry_reads_its_enumerated_arguments(call, name, valid, bad):
+    # an unhashable value, an array (whose == is elementwise) and a string
+    # outside the set are each refused by the reader, naming the argument
+    call(valid)
+    with pytest.raises(InputError, match=f"^unknown {re.escape(name)} "):
+        call(bad)
+
+
+def test_as_choice_names_the_argument_and_its_choices():
+    assert as_choice("b", "variant", ("a", "b")) == "b"
+    with pytest.raises(InputError, match=r"^unknown variant 'c'; expected one of: a, b$"):
+        as_choice("c", "variant", ("a", "b"))
+
+
+@pytest.mark.parametrize("call", [
+    lambda e: minimize_slack("heisenberg", fock_operators(16), 16, extras=e),
+    lambda e: compare_precision("heisenberg", "schrodinger", [], extras_a=e),
+])
+def test_extras_keys_are_admitted_before_they_are_expanded(call):
+    # a key that is not a string cannot be a keyword argument: the gate refuses
+    # it as it refuses any other extra the check does not take
+    with pytest.raises(InputError, match=r"^heisenberg takes no extra 1 \(its extras: none\)$"):
+        call({1: 2})
