@@ -5,7 +5,6 @@ observable-induced divergences."""
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 
@@ -14,7 +13,7 @@ import numpy as np
 from .catalog import SPECS, UR_SPECS, _pairwise_extended_sides, _schrodinger_sides, evaluate_ur
 from .catalog import _admit, _admit_keys, _cross_vector, slack_derivatives, type_1_2
 from .errors import InputError, TruncationError
-from .linalg import as_choice, as_integer, as_numbers, as_real, as_seed, slack_scale
+from .linalg import as_choice, as_container, as_integer, as_numbers, as_real, as_seed, slack_scale
 from .linalg import slack_tolerance
 from .model import Observable, PureState, fock_operators, squeezed_state
 from .model import _check_dim, _displacement_edge, _squeeze_edge, _squeezed_tangents
@@ -186,14 +185,11 @@ def minimize_slack(
     spec = UR_SPECS[as_choice(ur_id, "minimize check id", UR_SPECS)]
     dim, seed = _check_dim(dim), as_seed(seed)
     budget, restarts = as_integer(budget, "budget", 1), as_integer(restarts, "restarts", 1)
-    fixed_states = {} if fixed_states is None else fixed_states
-    extras = {} if extras is None else extras
-    for name, value in (("fixed_states", fixed_states), ("extras", extras)):
-        if not isinstance(value, Mapping):
-            raise InputError(f"{name} must be a mapping, got {value!r}")
+    fixed_states = as_container(fixed_states, "fixed_states", "mapping")
+    extras = as_container(extras, "extras", "mapping")
     _admit_keys(spec, extras)
-    if free_slots is not None and not isinstance(free_slots, (list, tuple, range, np.ndarray)):
-        raise InputError(f"free_slots must be a sequence of slot numbers, got {free_slots!r}")
+    if free_slots is not None:
+        free_slots = list(as_container(free_slots, "free_slots", "sequence"))
     n_slots = spec.n_states if spec.n_states >= 0 else len(fixed_states) + len(free_slots or [1])
     fixed_states = {
         as_integer(slot, "fixed_states key", 0, n_slots - 1): s for slot, s in fixed_states.items()
@@ -335,7 +331,8 @@ def compare_precision(
 ) -> PrecisionStats:
     """Evaluate two checks on each (label, observables, states) instance and
     record which is closer to saturation, raw and relative."""
-    extras_a, extras_b = dict(extras_a or {}), dict(extras_b or {})
+    extras_a = as_container(extras_a, "extras_a", "mapping")
+    extras_b = as_container(extras_b, "extras_b", "mapping")
     for ur_id, extras in ((ur_a, extras_a), (ur_b, extras_b)):
         _admit_keys(SPECS[as_choice(ur_id, "UR id", SPECS)], extras)
     n_raw_a = n_rel_a = 0.0

@@ -2,7 +2,8 @@
 minimization, precision comparison, and divergence evaluation.
 
 Configs and reports are UTF-8 JSON. Complex numbers are [re, im] pairs (bare
-reals are accepted on input); matrices are row-major lists of such entries.
+reals are accepted on input); amplitude lists and matrices (row-major) are lists
+of such entries, in one form throughout.
 Exit codes: 0 success, 1 an inequality was violated, 2 config error, 3 input
 validity error, 4 numeric error.
 """
@@ -20,17 +21,17 @@ import numpy as np
 
 from . import __version__
 from .analysis import compare_precision, minimize_slack, divergence
-from .catalog import H_CHOICES, SPECS, VARIANTS, URReport, evaluate_ur
+from .catalog import H_CHOICES, SPECS, VARIANTS, evaluate_ur
 from .ensembles import (
     DEFAULT_SCAN_URS,
+    SCAN_PINS,
     coherent_pair_grid,
     random_instances,
     scan_report,
     stream_rng,
 )
 from .errors import ConfigError, InputError, NumericError
-from .linalg import SLACK_RTOL, as_choice, as_complex, as_integer, as_numbers, as_real, as_seed
-from .linalg import slack_scale
+from .linalg import SLACK_RTOL, as_choice, as_integer, as_numbers, as_real, as_seed, slack_scale
 from .model import (
     Observable,
     _check_dim,
@@ -53,11 +54,14 @@ EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_INPUT = 3
 EXIT_NUMERIC = 4
+# the exit code and the stderr prefix of each refusal
+_REFUSALS = {
+    ConfigError: (EXIT_CONFIG, "config error"),
+    InputError: (EXIT_INPUT, "input error"),
+    NumericError: (EXIT_NUMERIC, "numeric error"),
+}
 
 _JSON_WHITESPACE = " \t\n\r"
-# the keys a scan's `pinned` object and `urs` entries take: the shape of the
-# instances drawn, and the extras of the checks drawn
-_SCAN_PINS = ("dim", "n", "m", "r", "h_choice")
 # the reader of each check extra and scan pin that holds an integer, and the
 # reader's arguments after the value's name
 _INT_EXTRAS = {"dim": (_check_dim,), **dict.fromkeys(("n", "m", "r"), (as_integer, 1))}
@@ -84,26 +88,18 @@ def _parse_int(reader, value, *args) -> int:
     return _read(reader, value, *args)
 
 
-def _parse_complex(value, what: str) -> complex:
-    if isinstance(value, (int, float)):
-        return _read(as_complex, value, what)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(_read(as_real, value[0], what), _read(as_real, value[1], what))
-    raise ConfigError(f"{what} must be a number or [re, im] pair, got {value!r}")
-
-
-def _parse_matrix(rows, what: str) -> np.ndarray:
-    """Rows of numbers, or rows of [re, im] pairs, as one complex array; the
-    entries are read by `as_numbers`."""
-    a = _read(as_numbers, rows, what)
-    if a.ndim == 2:
-        return a
-    if a.ndim == 3 and a.shape[2] == 2:  # [re, im] pairs of reals, read as complex
-        return np.ascontiguousarray(a.real).view(complex).reshape(a.shape[:2])
-    raise ConfigError(
-        f"{what} must be a row-major list of rows of equal length, "
-        "all entries numbers or all [re, im] pairs"
-    )
+def _parse_numbers(value, what: str, rank: int):
+    """A number (rank 0, as a complex), a list of numbers (rank 1) or rows of
+    numbers (rank 2), as a complex array. Each entry is a bare real or an
+    [re, im] pair, one form throughout; `as_numbers` reads the entries, in a
+    list, so that a bare integer is read as a list entry is (beyond int64 too)."""
+    a = _read(as_numbers, [value], what)[0]
+    if a.ndim == rank + 1 and a.shape[-1] == 2:  # [re, im] pairs of reals, read as complex
+        a = np.ascontiguousarray(a.real).view(complex)[..., 0]
+    elif a.ndim != rank:
+        shape = ("a number", "a list of numbers", "a list of rows of equal length")[rank]
+        raise ConfigError(f"{what} must be {shape}, all entries reals or all [re, im] pairs")
+    return a if rank else a.item()
 
 
 def _parse_dims(value) -> list[int]:
@@ -112,10 +108,16 @@ def _parse_dims(value) -> list[int]:
     return [_parse_int(_check_dim, d, "dims entry") for d in value]
 
 
-def _parse_list(config: dict, key: str) -> list:
-    value = config.get(key, [])
-    if not isinstance(value, list):
-        raise ConfigError(f"{key!r} must be a list, got {value!r}")
+def _field(config: dict, key: str, shape: type, default=None):
+    """``config[key]``, a JSON object (``shape`` dict) or list (``shape``
+    list), or ``default`` when the key is absent; any other value, null
+    included, is a config error."""
+    if key not in config:
+        return default
+    value = config[key]
+    if not isinstance(value, shape):
+        noun = "an object" if shape is dict else "a list"
+        raise ConfigError(f"{key!r} must be {noun}, got {value!r}")
     return value
 
 
@@ -138,8 +140,6 @@ def _parse_extras(extras, what: str, keys) -> dict:
 
     Every command that forwards extras to a check parses them here.
     """
-    if not isinstance(extras, dict):
-        raise ConfigError(f"{what} must be an object, got {extras!r}")
     for key in extras:
         if key not in keys:
             takes = ", ".join(keys) or "none"
@@ -172,7 +172,7 @@ def build_observable(spec: dict, dim: int) -> Observable:
         ops = spin_operators(_read(as_real, j, "j"))
         return ops[("spin_jx", "spin_jy", "spin_jz").index(builder)]
     if builder == "raw_observable":
-        return Observable(spec.get("name", "raw"), _parse_matrix(spec.get("matrix"), "matrix"))
+        return Observable(spec.get("name", "raw"), _parse_numbers(spec.get("matrix"), "matrix", 2))
     raise ConfigError(f"unknown observable builder {builder!r}")
 
 
@@ -181,10 +181,10 @@ def build_state(spec: dict, dim: int):
         raise ConfigError(f"state spec needs a 'builder' key: {spec!r}")
     builder = spec["builder"]
     if builder == "coherent":
-        return coherent_state(_parse_complex(spec.get("alpha", 0.0), "alpha"), dim)
+        return coherent_state(_parse_numbers(spec.get("alpha", 0.0), "alpha", 0), dim)
     if builder == "squeezed":
         return squeezed_state(
-            _parse_complex(spec.get("alpha", 0.0), "alpha"),
+            _parse_numbers(spec.get("alpha", 0.0), "alpha", 0),
             _read(as_real, spec.get("r", 0.0), "r"),
             _read(as_real, spec.get("phi", 0.0), "phi"),
             dim,
@@ -192,12 +192,9 @@ def build_state(spec: dict, dim: int):
     if builder == "fock_n":
         return fock_state(_parse_int(as_integer, spec.get("k", 0), "k", 0), dim)
     if builder == "raw_vector":
-        amps = spec.get("amplitudes")
-        if not isinstance(amps, list):
-            raise ConfigError("raw_vector needs an 'amplitudes' list")
-        return raw_vector_state([_parse_complex(x, "amplitude") for x in amps])
+        return raw_vector_state(_parse_numbers(spec.get("amplitudes"), "amplitudes", 1))
     if builder == "raw_density":
-        return raw_density_state(_parse_matrix(spec.get("matrix"), "density matrix"))
+        return raw_density_state(_parse_numbers(spec.get("matrix"), "density matrix", 2))
     raise ConfigError(f"unknown state builder {builder!r}")
 
 
@@ -243,16 +240,8 @@ def _resolve_dim(args, config) -> int:
 
 
 def _slack_rtol(config) -> float:
-    tol = config.get("tolerances", {})
-    if not isinstance(tol, dict):
-        raise ConfigError("'tolerances' must be an object")
+    tol = _field(config, "tolerances", dict, {})
     return _read(as_real, tol.get("slack_rtol", SLACK_RTOL), "slack_rtol", 0.0)
-
-
-def _report_row(report: URReport, rtol: float) -> dict:
-    row = report.as_dict()
-    row["holds"] = report.holds(rtol)
-    return row
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +250,14 @@ def _report_row(report: URReport, rtol: float) -> dict:
 
 def run_check(config: dict, seed: int, dim: int) -> tuple[dict, int]:
     rtol = _slack_rtol(config)
-    observables = [build_observable(s, dim) for s in _parse_list(config, "observables")]
-    states = [build_state(s, dim) for s in _parse_list(config, "states")]
+    observables = [build_observable(s, dim) for s in _field(config, "observables", list, [])]
+    states = [build_state(s, dim) for s in _field(config, "states", list, [])]
     if not observables or not states:
         raise ConfigError("check needs explicit 'observables' and 'states'")
     rows = []
     for ur_id, extras in _ur_entries(config):
         report = evaluate_ur(ur_id, observables, states, **extras)
-        rows.append(_report_row(report, rtol))
+        rows.append(dict(report.as_dict(), holds=report.holds(rtol)))
     n_viol = sum(not r["holds"] for r in rows)
     summary = {
         "n_results": len(rows),
@@ -292,11 +281,11 @@ def run_scan(config: dict, seed: int, dim: int) -> tuple[dict, int]:
         dims = list(range(lo, hi + 1))
     else:
         dims = _parse_dims(dims_cfg)
-    pinned = _parse_extras(config.get("pinned", {}), "pinned", _SCAN_PINS)
+    pinned = _parse_extras(_field(config, "pinned", dict, {}), "pinned", SCAN_PINS)
     rows = []
     n_viol = 0
     worst_overall = float("inf")
-    for ur_id, extras in _ur_entries(config, _SCAN_PINS):
+    for ur_id, extras in _ur_entries(config, SCAN_PINS):
         rng = stream_rng(seed, f"scan:{ur_id}")
         pins = dict(pinned)
         pins.update(extras)
@@ -337,20 +326,15 @@ def run_scan(config: dict, seed: int, dim: int) -> tuple[dict, int]:
 
 def run_minimize(config: dict, seed: int, dim: int) -> tuple[dict, int]:
     ur_id = _parse_ur_id(config.get("ur"))
-    observables = [build_observable(s, dim) for s in _parse_list(config, "observables")]
+    observables = [build_observable(s, dim) for s in _field(config, "observables", list, [])]
     if not observables:
         raise ConfigError("minimize needs 'observables'")
-    fixed_cfg = config.get("fixed_states") or {}
-    if not isinstance(fixed_cfg, dict):
-        raise ConfigError("'fixed_states' must be an object mapping slot numbers to states")
     fixed = {
         _parse_slot(slot, "fixed_states key"): build_state(spec, dim)
-        for slot, spec in fixed_cfg.items()
+        for slot, spec in _field(config, "fixed_states", dict, {}).items()
     }
-    free = config.get("free_slots")
+    free = _field(config, "free_slots", list)
     if free is not None:
-        if not isinstance(free, list):
-            raise ConfigError(f"'free_slots' must be a list of slot numbers, got {free!r}")
         free = [_parse_slot(slot, "free_slots entry") for slot in free]
     result = minimize_slack(
         ur_id,
@@ -361,7 +345,7 @@ def run_minimize(config: dict, seed: int, dim: int) -> tuple[dict, int]:
         budget=_parse_int(as_integer, config.get("budget", 400), "budget", 1),
         restarts=_parse_int(as_integer, config.get("restarts", 8), "restarts", 1),
         seed=seed,
-        extras=_parse_extras(config.get("extras") or {}, "extras", SPECS[ur_id].extras),
+        extras=_parse_extras(_field(config, "extras", dict, {}), "extras", SPECS[ur_id].extras),
     )
     row = dataclasses.asdict(result)
     row["slots"] = [dict(s, alpha=[s["alpha"].real, s["alpha"].imag]) for s in row["slots"]]
@@ -371,8 +355,8 @@ def run_minimize(config: dict, seed: int, dim: int) -> tuple[dict, int]:
 
 
 def _compare_instances(config: dict, seed: int, dim: int):
-    spec = config.get("instances")
-    if not isinstance(spec, dict) or "kind" not in spec:
+    spec = _field(config, "instances", dict, {})
+    if "kind" not in spec:
         raise ConfigError("compare needs an 'instances' object with a 'kind'")
     kind = spec["kind"]
     if kind == "coherent_grid":
@@ -391,13 +375,12 @@ def _compare_instances(config: dict, seed: int, dim: int):
 
 def run_compare(config: dict, seed: int, dim: int) -> tuple[dict, int]:
     ur_a, ur_b = _parse_ur_id(config.get("ur_a")), _parse_ur_id(config.get("ur_b"))
-    stats = compare_precision(
-        ur_a,
-        ur_b,
-        _compare_instances(config, seed, dim),
-        extras_a=_parse_extras(config.get("extras_a") or {}, "extras_a", SPECS[ur_a].extras),
-        extras_b=_parse_extras(config.get("extras_b") or {}, "extras_b", SPECS[ur_b].extras),
+    instances = _compare_instances(config, seed, dim)
+    extras_a, extras_b = (
+        _parse_extras(_field(config, key, dict, {}), key, SPECS[ur].extras)
+        for key, ur in (("extras_a", ur_a), ("extras_b", ur_b))
     )
+    stats = compare_precision(ur_a, ur_b, instances, extras_a, extras_b)
     rtol = _slack_rtol(config)
     violated = stats.min_relative_slack_a < -rtol or stats.min_relative_slack_b < -rtol
     body = {"results": [dataclasses.asdict(stats)], "summary": {"all_hold": not violated}}
@@ -405,8 +388,7 @@ def run_compare(config: dict, seed: int, dim: int) -> tuple[dict, int]:
 
 
 def run_divergence(config: dict, seed: int, dim: int) -> tuple[dict, int]:
-    obs = config.get("observable")
-    sa, sb = config.get("state_a"), config.get("state_b")
+    obs, sa, sb = (_field(config, key, dict) for key in ("observable", "state_a", "state_b"))
     if obs is None or sa is None or sb is None:
         raise ConfigError("divergence needs 'observable', 'state_a' and 'state_b'")
     x = build_observable(obs, dim)
@@ -462,34 +444,34 @@ def _report_text(head: dict, config_text: str, body: dict) -> str:
     return f'{head_text[:-2]},\n  "config": {echo},{body_text[1:]}\n'
 
 
+def _load(path: str) -> tuple[str, dict]:
+    """The config file's text and the JSON object it holds; a file that cannot
+    be read or parsed, or that holds no object, is a config error."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        config = json.loads(text)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ConfigError(str(exc)) from None
+    if not isinstance(config, dict):
+        raise ConfigError("top level must be a JSON object")
+    return text, config
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a malformed list, 0 after --help
         return exc.code
     try:
-        with open(args.config, "r", encoding="utf-8", newline="") as fh:
-            config_text = fh.read()
-        config = json.loads(config_text)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if not isinstance(config, dict):
-        print("config error: top level must be a JSON object", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        config_text, config = _load(args.config)
         seed = _resolve_seed(args, config)
         dim = _resolve_dim(args, config)
         body, code = _COMMANDS[args.command](config, seed, dim)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except tuple(_REFUSALS) as exc:  # the one place a refusal becomes an exit code
+        code, prefix = next(_REFUSALS[cls] for cls in type(exc).__mro__ if cls in _REFUSALS)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
     head = {
         "tool": {"name": "urlab", "version": __version__},
         "command": args.command,

@@ -11,31 +11,21 @@ import sys
 
 import numpy as np
 
-from .catalog import CHAR_GAP_IDS, H_CHOICES, SPECS, UR_SPECS, URReport, evaluate_ur
+from .catalog import CHAR_GAP_IDS  # noqa: F401  (re-exported: the benchmark reads it here)
+from .catalog import H_CHOICES, SPECS, UR_SPECS, URReport, evaluate_ur
 from .errors import InputError
-from .linalg import as_choice, as_integer, as_real, as_seed
+from .linalg import as_choice, as_container, as_integer, as_real, as_seed
 from .model import _check_dim, coherent_state, fock_operators, rand_density, rand_observable
 from .model import rand_pure
 
 # Checks scanned by default: every displayed inequality plus the two
-# characteristic-gap flavors. coherent_fixed is excluded because its premise
-# (a canonical commutator) is not meaningful for arbitrary random observables.
-DEFAULT_SCAN_URS = (
-    "heisenberg",
-    "schrodinger",
-    "robertson",
-    "characteristic",
-    "type_1_2a",
-    "type_1_2b",
-    "type_2_1",
-    "type_2_2a",
-    "type_2_2b",
-    "extended_schrodinger",
-    "entangled_heisenberg",
-    "type_3_1",
-    "type_2_m",
-    *CHAR_GAP_IDS,
-)
+# characteristic-gap flavors, in SPECS order. coherent_fixed is excluded because
+# its premise (a canonical commutator) is not meaningful for arbitrary random
+# observables.
+DEFAULT_SCAN_URS = tuple(ur_id for ur_id in SPECS if ur_id != "coherent_fixed")
+# the keys a scan pins: the shape of the instances drawn, and the extras of the
+# checks drawn
+SCAN_PINS = ("dim", "n", "m", "r", "h_choice")
 
 
 def stream_rng(seed: int, name: str) -> np.random.Generator:
@@ -86,9 +76,13 @@ def _draw(ur_id: str, rng: np.random.Generator, dims: list, pinned: dict):
 
 
 def scan_report(ur_id: str, rng: np.random.Generator, dims, pinned=None) -> URReport:
-    """Draw one random admissible instance of the named check and evaluate it."""
-    pinned = pinned or {}
-    _, observables, states, extras = _draw(ur_id, rng, list(dims), pinned)
+    """Draw one random admissible instance of the named check and evaluate it;
+    ``pinned`` maps scan pins to the values they fix."""
+    pinned = as_container(pinned, "pinned", "mapping")
+    for key in pinned:
+        as_choice(key, "scan pin", SCAN_PINS)
+    dims = list(as_container(dims, "dims", "sequence"))
+    _, observables, states, extras = _draw(ur_id, rng, dims, pinned)
     if ur_id == "characteristic":
         extras["r"] = _count(pinned, "r", rng.integers(1, len(observables) + 1), len(observables))
     return evaluate_ur(ur_id, observables, states, **extras)
@@ -100,7 +94,7 @@ def random_instances(ur_id: str, size: int, dims, seed: int):
     as_choice(ur_id, "non-gap UR id", UR_SPECS)
     size = as_integer(size, "size", 1)
     rng = stream_rng(seed, f"instances:{ur_id}")
-    dims = list(dims)
+    dims = list(as_container(dims, "dims", "sequence"))
     out = []
     for k in range(size):
         dim, observables, states, _ = _draw(ur_id, rng, dims, {})

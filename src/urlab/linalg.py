@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections.abc import Mapping
 from itertools import chain
 
 import numpy as np
@@ -37,6 +38,8 @@ MAX_ORDER = 32
 _REALS = (int, float, np.integer, np.floating)
 _NUMBERS = (int, float, complex, np.number)
 _SEED_MASK = 2**64 - 1
+# what the sequence reader takes: a str or a set is not a sequence of numbers
+_SEQUENCES = (list, tuple, range, np.ndarray)
 
 
 def slack_scale(lhs: float, rhs: float) -> float:
@@ -131,6 +134,17 @@ def as_choice(value, name: str, choices) -> str:
     if isinstance(value, str) and value in choices:
         return value
     raise InputError(f"unknown {name} {value!r}; expected one of: {', '.join(choices)}")
+
+
+def as_container(value, name: str, shape: str):
+    """The package's one reader of container arguments, as they are: ``shape``
+    "mapping" (extras, fixed states, scan pins) takes a Mapping, or None as a
+    new {}; "sequence" (free slots, dims) takes a list, tuple, range or ndarray."""
+    if shape == "mapping" and value is None:
+        return {}
+    if isinstance(value, Mapping if shape == "mapping" else _SEQUENCES):
+        return value
+    raise InputError(f"{name} must be a {shape}, got {value!r}")
 
 
 def as_square_matrix(m, name: str = "matrix") -> np.ndarray:

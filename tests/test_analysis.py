@@ -497,8 +497,8 @@ def test_minimize_draws_each_start_when_its_descent_begins(monkeypatch):
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        ({"free_slots": 5}, "free_slots must be a sequence of slot numbers, got 5"),
-        ({"free_slots": {1}}, "free_slots must be a sequence of slot numbers, got {1}"),
+        ({"free_slots": 5}, "free_slots must be a sequence, got 5"),
+        ({"free_slots": {1}}, "free_slots must be a sequence, got {1}"),
         ({"fixed_states": [1]}, "fixed_states must be a mapping, got [1]"),
         ({"extras": [("r", 1)]}, "extras must be a mapping, got [('r', 1)]"),
     ],

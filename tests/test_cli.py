@@ -13,7 +13,8 @@ import pytest
 import urlab
 from urlab import model
 from urlab.catalog import char_gap_from_states
-from urlab.cli import _parse_matrix, main
+from urlab.cli import _parse_numbers, main
+from urlab.errors import ConfigError, InputError, NumericError, TruncationError
 from urlab.model import fock_operators, fock_state, squeezed_state
 
 
@@ -511,10 +512,10 @@ def test_raw_matrix_forms_parse_exactly(tmp_path):
     # both forms give the bits that complex(re, im) per entry gives
     pairs = [[[0.5, -0.0], [0.1, -0.2]], [[0.1, 0.2], [0.5, 0.0]]]
     exact = np.array([[complex(*x) for x in row] for row in pairs])
-    assert _parse_matrix(pairs, "m").tobytes() == exact.tobytes()
+    assert _parse_numbers(pairs, "m", 2).tobytes() == exact.tobytes()
     reals = [[1, 0.25], [0.25, -3]]
     exact = np.array([[complex(x) for x in row] for row in reals])
-    assert _parse_matrix(reals, "m").tobytes() == exact.tobytes()
+    assert _parse_numbers(reals, "m", 2).tobytes() == exact.tobytes()
     code, doc = run(
         tmp_path, "check", with_raw_matrix("raw_observable", [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]])
     )
@@ -902,12 +903,80 @@ def test_free_slots_parsed_at_the_boundary(tmp_path):
         assert run(tmp_path, "minimize", dict(MINIMIZE_TINY, free_slots=bad))[0] == 3, bad
 
 
+# field -> (command, valid config, path to the field, an integer it takes)
+INTEGER_FIELDS = {
+    "budget": ("minimize", MINIMIZE_TINY, ("budget",), 20),
+    "hilbert_dim": ("check", CHECK_VACUUM, ("hilbert_dim",), 16),
+    "check_r": ("check", EXTRA_FIELDS["check_r"][1], ("urs", 0, "r"), 1),
+    "fock_n_k": ("check", with_field("k", 0), ("states", 0, "k"), 1),
+}
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_an_integral_float_is_read_as_its_integer(tmp_path, field):
+    command, config, path, n = INTEGER_FIELDS[field]
+    (code, doc), (float_code, float_doc) = (
+        run(tmp_path, command, with_path(config, path, value)) for value in (n, float(n))
+    )
+    assert code == float_code == 0 and float_doc["results"] == doc["results"]
+
+
+def test_scan_dims_min_above_max_exit2(tmp_path, capsys):
+    assert run(tmp_path, "scan", dict(SCAN_TINY, dims={"min": 4, "max": 3}))[0] == 2
+    assert capsys.readouterr().err.startswith("config error: dims.min exceeds dims.max")
+
+
+@pytest.mark.parametrize("env", ["x", "1.5", ""])
+def test_malformed_seed_variable_exit2(tmp_path, capsys, monkeypatch, env):
+    monkeypatch.setenv("URLAB_SEED", env)
+    assert run(tmp_path, "scan", SCAN_TINY) == (2, None)
+    assert capsys.readouterr().err == f"config error: URLAB_SEED must be an integer, got {env!r}\n"
+
+
+@pytest.mark.parametrize(
+    "error, code, message",
+    [
+        (ConfigError("c"), 2, "config error: c"),
+        (InputError("i"), 3, "input error: i"),
+        (TruncationError("t", 9), 3, "input error: t"),
+        (NumericError("n"), 4, "numeric error: n"),
+    ],
+    ids=repr,
+)
+def test_each_refusal_exits_with_its_code_and_prefix(tmp_path, capsys, monkeypatch, error, code,
+                                                     message):
+    def refuse(config, seed, dim):
+        raise error
+
+    monkeypatch.setitem(urlab.cli._COMMANDS, "check", refuse)
+    assert run(tmp_path, "check", CHECK_VACUUM) == (code, None)
+    assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "config error: [Errno 2] No such file or directory"),
+        ("{not json", "config error: Expecting property name"),
+        ("[1, 2]", "config error: top level must be a JSON object"),
+        ("[" * 100_000, "config error: maximum recursion depth exceeded"),
+    ],
+    ids=["missing", "not-json", "list", "too-deep"],
+)
+def test_a_config_file_without_an_object_exit2(tmp_path, capsys, text, message):
+    cfg = tmp_path / "config.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert main(["check", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
 # Seeded config fuzz: every node of a small valid config of each command is
 # replaced in turn by each of FUZZ_VALUES, or deleted, and then random pairs
 # of such edits are applied together. Whatever the config, the command exits
 # 0, 2, 3 or 4, or 1 with a violated row, and never raises.
 FUZZ_VALUES = (
-    "x", "", -1, 0, 2, 2.5, True, None, float("nan"), [], [1], ["heisenberg"], {},
+    "x", "", -1, 0, 2, 2.5, True, False, None, float("nan"), [], [1], ["heisenberg"], {},
     {"builder": "fock_q"}, [[1, 0], [0]],
 )
 FUZZ_CONFIGS = {
@@ -916,8 +985,10 @@ FUZZ_CONFIGS = {
         tolerances={"slack_rtol": 1e-8},
     ),
     "scan": dict(SCAN_TINY, pinned={"dim": 3}, tolerances={"slack_rtol": 1e-8}),
-    "minimize": dict(MINIMIZE_TINY, free_slots=[1], budget=10),
-    "compare": dict(COMPARE_RANDOM, instances=dict(COMPARE_RANDOM["instances"], ur="type_1_2a")),
+    "minimize": dict(MINIMIZE_TINY, free_slots=[1], budget=10, extras={}),
+    "compare": dict(
+        COMPARE_RANDOM, instances=dict(COMPARE_RANDOM["instances"], ur="type_1_2a"), extras_a={}
+    ),
     "divergence": {
         "observable": {"builder": "fock_q"},
         "state_a": {"builder": "fock_n", "k": 0},
@@ -927,6 +998,16 @@ FUZZ_CONFIGS = {
     },
 }
 _DELETE = object()
+# the config keys that take a JSON object or a list: a value of any other JSON
+# type there, null included, exits 2
+SHAPED_KEYS = {
+    **dict.fromkeys(
+        ("extras", "extras_a", "fixed_states", "pinned", "tolerances", "instances", "observable",
+         "state_a", "state_b"),
+        dict,
+    ),
+    **dict.fromkeys(("free_slots", "observables", "states"), list),
+}
 
 
 def _fuzz_paths(node, path=()):
@@ -982,6 +1063,7 @@ def test_config_fuzz_exit_codes(tmp_path, capsys):
     rng = np.random.default_rng(20260)
     failures = []
     reached = set()
+    shaped = set()
     for command, base in FUZZ_CONFIGS.items():
         assert _fuzz_verdict(tmp_path, command, base) == 0, command
         single = [
@@ -997,7 +1079,13 @@ def test_config_fuzz_exit_codes(tmp_path, capsys):
                 failures.append((command, edits, verdict))
             elif verdict == 2 and len(edits) == 1:
                 reached.add((command, edits[0][0], type(edits[0][1]).__name__))
+            (path, value), *more = edits
+            if not more and path[1:] == () and path[0] in SHAPED_KEYS and value is not _DELETE:
+                shaped.add(path[0])
+                if not isinstance(value, SHAPED_KEYS[path[0]]) and verdict != 2:
+                    failures.append((command, edits, f"exit {verdict} for a misshapen value"))
     assert not failures, failures[:5]
+    assert shaped == set(SHAPED_KEYS)
     assert "Traceback" not in capsys.readouterr().err
     # the fuzz reaches the fields that once escaped as exit 1
     assert {
@@ -1007,6 +1095,10 @@ def test_config_fuzz_exit_codes(tmp_path, capsys):
         ("compare", ("instances", "ur"), "list"),
         ("minimize", ("free_slots",), "int"),
         ("minimize", ("free_slots", 0), "float"),
+        # a falsy value that is not an object was once read as an empty one
+        ("minimize", ("extras",), "list"),
+        ("minimize", ("fixed_states",), "list"),
+        ("compare", ("extras_a",), "bool"),
     } <= reached
 
 

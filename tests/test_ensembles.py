@@ -58,3 +58,12 @@ def test_scan_never_reaudits_its_draws(monkeypatch):
     # the counters are live: a direct constructor call still audits
     DensityMatrix(np.eye(2) / 2)
     assert calls == {"hermitian": 1, "psd": 1}
+
+
+def test_default_scan_ids_and_their_order():
+    # `urs: "all"` reports in this order; the golden digests compare only sets
+    assert DEFAULT_SCAN_URS == (
+        "heisenberg", "schrodinger", "robertson", "characteristic", "type_1_2a", "type_1_2b",
+        "type_2_1", "type_2_2a", "type_2_2b", "extended_schrodinger", "entangled_heisenberg",
+        "type_3_1", "type_2_m", "char_gap_entangled", "char_gap_superadditive",
+    )

@@ -1,7 +1,8 @@
 """The package's readers (`linalg.as_numbers`, `as_real`, `as_complex`,
-`as_integer`, `as_seed`, `as_choice`) and every public entry that reads an
-array, real, complex number, count, slot, seed or enumerated value (a check
-id, variant, flavor, h_choice or sample kind) through them, before any cache."""
+`as_integer`, `as_seed`, `as_choice`, `as_container`) and every public entry
+that reads an array, real, complex number, count, slot, seed, enumerated value
+(a check id, variant, flavor, h_choice or sample kind) or container (extras,
+pins, slots, dims) through them, before any cache."""
 
 import math
 import re
@@ -16,7 +17,8 @@ from urlab.analysis import saturation_transfer_audit
 from urlab.catalog import char_gap_check, char_gap_from_states, evaluate_ur, type_1_2, type_2_2
 from urlab.ensembles import coherent_pair_grid, random_instances, scan_report, stream_rng
 from urlab.errors import InputError
-from urlab.linalg import as_choice, as_complex, as_integer, as_numbers, as_real, as_seed
+from urlab.linalg import as_choice, as_complex, as_container, as_integer, as_numbers, as_real
+from urlab.linalg import as_seed
 from urlab.moments import robertson_matrix
 from urlab.model import (
     Observable,
@@ -63,8 +65,8 @@ def _audit(epsilon):
     return saturation_transfer_audit(q, p, [(psi, psi)], epsilon)
 
 
-def _scan(ur_id="char_gap_entangled", dims=(2, 3), **pinned):
-    return scan_report(ur_id, stream_rng(5, "scan"), list(dims), pinned)
+def _scan(ur_id="char_gap_entangled", dims=(2, 3), pinned=None, **pins):
+    return scan_report(ur_id, stream_rng(5, "scan"), dims, pins if pinned is None else pinned)
 
 
 # (entry, the argument's name in the error, its kind, a valid value, the call);
@@ -276,3 +278,51 @@ def test_extras_keys_are_admitted_before_they_are_expanded(call):
     # it as it refuses any other extra the check does not take
     with pytest.raises(InputError, match=r"^heisenberg takes no extra 1 \(its extras: none\)$"):
         call({1: 2})
+
+
+# ---------------------------------------------------------------------------
+# container arguments
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: compare_precision("heisenberg", "schrodinger", [], extras_a=[("r", 1)]),
+         "extras_a must be a mapping, got [('r', 1)]"),
+        (lambda: compare_precision("heisenberg", "schrodinger", [], extras_b=5),
+         "extras_b must be a mapping, got 5"),
+        (lambda: _scan(pinned=["dim"]), "pinned must be a mapping, got ['dim']"),
+        (lambda: _scan(pinned="dim"), "pinned must be a mapping, got 'dim'"),
+        (lambda: _scan(dims=3), "dims must be a sequence, got 3"),
+        (lambda: random_instances("robertson", 2, 3, 0), "dims must be a sequence, got 3"),
+        (lambda: _scan(pinned={"dimm": 3}),
+         "unknown scan pin 'dimm'; expected one of: dim, n, m, r, h_choice"),
+    ],
+    ids=["extras_a-list", "extras_b-int", "pinned-list", "pinned-str", "scan-dims-int",
+         "instances-dims-int", "unknown-pin"],
+)
+def test_each_entry_reads_its_containers(call, message):
+    # one reader, linalg.as_container, takes a mapping or a sequence as it is
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_as_container_takes_a_mapping_or_a_sequence_as_it_is():
+    assert as_container(None, "x", "mapping") == {}
+    pins = {"dim": 3}
+    assert as_container(pins, "x", "mapping") is pins
+    for seq in ([2], (2,), range(2, 3), np.array([2])):
+        assert as_container(seq, "x", "sequence") is seq
+    for bad in ("23", {2}, None):
+        with pytest.raises(InputError, match="^x must be a sequence, got "):
+            as_container(bad, "x", "sequence")
+
+
+def test_minimize_reads_free_slots_of_any_sequence_type():
+    # an array of slot numbers is read as the list of its entries
+    runs = [
+        minimize_slack("type_2_m", fock_operators(8), 8, free_slots=slots, budget=5, restarts=1)
+        for slots in ([0, 1], np.array([0, 1]), range(2))
+    ]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
